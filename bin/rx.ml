@@ -7,7 +7,6 @@
      rx index rollback  --db DIR --table T --column C --name I
      rx index drop      --db DIR --table T --column C --name I
      rx index list      --db DIR --table T --column C
-     rx create-index / rx drop-index      (deprecated aliases)
      rx create-text-index --db DIR --table T --column C --name I
      rx insert          --db DIR --table T --xml "doc=<a>...</a>" [--xml-file doc=path]
      rx load            --db DIR --table T --column C PATH   (bulk ingest)
@@ -127,57 +126,6 @@ let create_table_cmd =
   in
   Cmd.v (Cmd.info "create-table" ~doc:"Create a base table (use type xml for XML columns).")
     Term.(const run $ db_arg $ table_arg $ columns_arg)
-
-(* --- create-index --- *)
-
-let create_index_cmd =
-  let name_arg =
-    Arg.(required & opt (some string) None & info [ "name" ] ~docv:"NAME" ~doc:"Index name.")
-  in
-  let path_arg =
-    Arg.(
-      required & opt (some string) None
-      & info [ "path" ] ~docv:"XPATH" ~doc:"Simple XPath expression without predicates.")
-  in
-  let type_arg =
-    Arg.(
-      value & opt string "string"
-      & info [ "type" ] ~docv:"TYPE" ~doc:"Key type: string|double|decimal|integer|date.")
-  in
-  let run dir table column name path ty =
-    handle_errors (fun () ->
-        with_db dir (fun db ->
-            let key_type =
-              match Rx_xindex.Index_def.key_type_of_string ty with
-              | Some kt -> kt
-              | None -> invalid_arg (Printf.sprintf "unknown key type %S" ty)
-            in
-            Database.create_xml_index db ~table ~column ~name ~path ~key_type;
-            Printf.printf "created XPath value index %s ON %s AS %s\n" name path ty))
-  in
-  Cmd.v
-    (Cmd.info "create-index"
-       ~doc:
-         "Create an XPath value index on an XML column (deprecated alias of \
-          $(b,rx index build); unlike it, refuses an existing name).")
-    Term.(const run $ db_arg $ table_arg $ column_arg $ name_arg $ path_arg $ type_arg)
-
-let drop_index_cmd =
-  let name_arg =
-    Arg.(required & opt (some string) None & info [ "name" ] ~docv:"NAME" ~doc:"Index name.")
-  in
-  let run dir table column name =
-    handle_errors (fun () ->
-        with_db dir (fun db ->
-            Database.drop_xml_index db ~table ~column ~name;
-            Printf.printf "dropped XPath value index %s\n" name))
-  in
-  Cmd.v
-    (Cmd.info "drop-index"
-       ~doc:
-         "Drop an XPath value index from an XML column (deprecated alias of \
-          $(b,rx index drop)).")
-    Term.(const run $ db_arg $ table_arg $ column_arg $ name_arg)
 
 (* --- index lifecycle: rx index build/status/rollback/drop/list --- *)
 
@@ -792,8 +740,7 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            init_cmd; create_table_cmd; index_cmd; create_index_cmd;
-            drop_index_cmd; create_text_index_cmd;
+            init_cmd; create_table_cmd; index_cmd; create_text_index_cmd;
             register_schema_cmd; bind_schema_cmd; insert_cmd; load_cmd; get_cmd;
             query_cmd; xquery_cmd; search_cmd; exec_cmd; checkpoint_cmd;
             verify_cmd; restore_cmd; stats_cmd;

@@ -976,9 +976,7 @@ let bind_schema t ~table ~column ~schema =
 
 (* XPath value-index DDL lives in the [Index] lifecycle module below the
    session machinery: every build is online (side-log absorbed, swapped in
-   at a quiesce point) and generational. [create_xml_index] /
-   [list_xml_indexes] / [drop_xml_index] survive as thin deprecated
-   aliases next to it. *)
+   at a quiesce point) and generational. *)
 
 let create_text_index t ~table ~column ~name =
   ensure_writable t;
@@ -1099,9 +1097,6 @@ let do_drop_index t xc name =
   xc.gens <- List.remove_assoc name xc.gens;
   xc.indexes <- kept;
   invalidate_plans t
-
-(* [drop_xml_index] is an alias of [Index.drop], defined with the
-   lifecycle module below *)
 
 (* does [txn] hold a staged index drop for (table, column)? *)
 let txn_staged_drop txn ~table ~column =
@@ -1310,7 +1305,9 @@ let apply_pending t ts op =
    via the WAL's group commit — N committers in flight share ~1 fsync
    instead of paying one each. Releasing locks before the durability
    wait is sound because any later flush covers this record's LSN (no
-   one can observe a state the log cannot reproduce).
+   one can observe a state the log cannot reproduce). Phase 1 ends with
+   the auto-checkpoint trigger; a checkpoint forces the log, so the
+   phase-2 wait then returns at once.
 
    [commit_async] is phase 1 alone: it assumes the caller already holds
    the engine lock (see [exclusively]) and returns the phase-2 await
@@ -1351,6 +1348,7 @@ let commit_async t txn =
         || Name_dict.size t.dict > t.dict_persisted
       then save_catalog t;
       maybe_purge t;
+      maybe_auto_checkpoint t;
       await
   | exception e ->
       (* commit replay failed: physically roll back this transaction's
@@ -1759,23 +1757,6 @@ module Index = struct
             do_drop_index t xc name;
             save_catalog t)
 end
-
-(* --- deprecated aliases (one release): the pre-lifecycle index DDL --- *)
-
-let create_xml_index t ~table ~column ~name ~path ~key_type =
-  let tbl = index_table_exn t table in
-  let xc = index_column_exn tbl column in
-  if has_index xc name then
-    invalid_arg (Printf.sprintf "Database: index %s already exists" name);
-  ignore (Index.await (Index.build t ~table ~column ~name ~path ~key_type))
-
-let list_xml_indexes t ~table ~column =
-  List.map
-    (fun i -> i.Index.ix_name)
-    (List.filter (fun i -> i.Index.ix_state = Index.Live)
-       (Index.list t ~table ~column))
-
-let drop_xml_index = Index.drop
 
 let close t =
   (* a handle abandoned mid-transaction rolls back, like a dropped session *)
@@ -2635,122 +2616,38 @@ let serialize_from t ds ~docid node =
       tokens := e.Doc_store.token :: !tokens);
   Serializer.to_string t.dict (List.rev !tokens)
 
-let serialize_match t xc m = serialize_from t xc.store ~docid:m.docid m.node
-
-(* candidate docids for a snapshot read: current rows, version-tracked
-   documents (which may be deleted from the base table but still visible
-   to this snapshot), and this transaction's own staged writes *)
-let txn_candidate_docids txn tbl ~column xc =
-  let seen = Hashtbl.create 64 in
-  let add d = if not (Hashtbl.mem seen d) then Hashtbl.replace seen d () in
-  let ci = Base_table.column_index tbl.base column in
-  (match ci with
-  | None -> invalid_arg (Printf.sprintf "Database: no column %s" column)
-  | Some ci ->
-      Base_table.iter
-        (fun _ row ->
-          match row.(ci) with Value.Xml_ref d -> add d | _ -> ())
-        tbl.base);
+(* documents a snapshot read must consider beyond the index: every
+   version-tracked document and this transaction's own staged writes.
+   While a snapshot is live, every update or delete leaves a chain
+   ([retain_before_change] / [tombstone_after_delete]) and every insert a
+   [created] stamp newer than the snapshot, so a document outside this
+   set reads the same at the snapshot as in the current committed state
+   the value indexes describe. *)
+let txn_changed_docids txn tbl ~column xc =
+  let acc = ref [] in
   (match xc.mvcc with
-  | Some m -> Rx_txn.Mvcc_store.iter_tracked m add
+  | Some m -> Rx_txn.Mvcc_store.iter_tracked m (fun d -> acc := d :: !acc)
   | None -> ());
   Hashtbl.iter
-    (fun (tb, col, d) _ -> if tb = tbl.tname && col = column then add d)
+    (fun (tb, col, d) _ -> if tb = tbl.tname && col = column then acc := d :: !acc)
     txn.locals;
-  List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) seen [])
+  !acc
 
-(* a transaction's reads bypass the planner: value indexes describe the
-   current committed state, not this snapshot, so every query scans the
-   snapshot-visible document set with QuickXScan *)
-let run_in_txn ?ns_env t txn ~table ~column ~xpath =
-  ensure_txn_open txn;
-  let tbl = table_exn t table in
-  let xc = xml_column_exn tbl column in
-  let before = Rx_obs.Metrics.snapshot t.metrics in
-  let query =
-    (* the plan cache only holds the compiled query here (snapshot reads
-       never use indexes), but a plan compiled while a staged [DROP XML
-       INDEX] is pending in this very transaction must not be cached or
-       served: compile fresh instead *)
-    if txn_staged_drop txn ~table ~column then snd (compile_query ?ns_env t xpath)
-    else (prepare ?ns_env t ~table ~column ~xpath).p_query
-  in
-  let matches =
-    Rx_obs.Trace.with_span t.tracer "db.query"
-      ~attrs:[ ("table", table); ("column", column); ("xpath", xpath) ]
-      (fun () ->
-        (* snapshot resolution touches txn-local state (staged writes, MVCC
-           chains), so it happens here on the caller; only the pure
-           QuickXScan evaluation fans out to domains *)
-        let resolved =
-          List.filter_map
-            (fun docid ->
-              match resolve t (Some txn) tbl xc ~column ~docid with
-              | `Main -> Some (docid, xc.store, docid)
-              | `Internal (ds, i) -> Some (docid, ds, i)
-              | `Absent -> None)
-            (txn_candidate_docids txn tbl ~column xc)
-        in
-        let par = effective_parallelism t in
-        if
-          par > 1
-          && List.length resolved > 1
-          && Doc_store.data_page_count xc.store
-             >= t.config.parallel_scan_min_pages
-        then begin
-          let arr = Array.of_list resolved in
-          let k = min par (Array.length arr) in
-          Rx_obs.Metrics.incr
-            (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
-          Rx_obs.Metrics.add
-            (Rx_obs.Metrics.counter t.metrics "exec.parallel_chunks") k;
-          let per_doc =
-            Executor.eval_partitioned
-              ~pool:(Rx_util.Domain_pool.shared ())
-              ~parallelism:par query
-              (Array.map (fun (_, store, d) -> (store, d)) arr)
-          in
-          List.concat
-            (Array.to_list
-               (Array.mapi
-                  (fun i nodes ->
-                    let docid, _, _ = arr.(i) in
-                    List.map (fun node -> { docid; node }) nodes)
-                  per_doc))
-        end
-        else
-          List.concat_map
-            (fun (docid, store, scan_docid) ->
-              List.map
-                (fun node -> { docid; node })
-                (Executor.eval_stored query store ~docid:scan_docid))
-            resolved)
-  in
-  let after = Rx_obs.Metrics.snapshot t.metrics in
-  {
-    matches;
-    plan =
-      { description = "SNAPSHOT-SCAN(QuickXScan)"; uses_index = false; exact = false };
-    serialize =
-      (fun m ->
-        match resolve t (Some txn) tbl xc ~column ~docid:m.docid with
-        | `Main -> serialize_match t xc m
-        | `Internal (ds, i) -> serialize_from t ds ~docid:i m.node
-        | `Absent ->
-            invalid_arg
-              (Printf.sprintf "Database: no document %d in %s.%s" m.docid table column));
-    profile = Rx_obs.Metrics.diff ~before ~after;
-  }
-
-(* execute a prepared query's stored plan; the QuickXScan machine is built
-   once and reset between documents, so the scan loop allocates per match,
-   not per node *)
-let exec_prepared t (p : prepared) =
+(* The one query pipeline: plan → candidate docids → QuickXScan
+   re-evaluation, partitioned across domains when the column is big
+   enough. Autocommit and snapshot reads differ only in where a
+   candidate's visible version lives ([locate]) and in the changed
+   documents a snapshot adds to every candidate set. A snapshot read
+   re-evaluates even an exact plan's anchors, and falls back to scanning
+   the whole snapshot when the plan does (or while this transaction has
+   staged a DROP XML INDEX on the column). The QuickXScan machine for the
+   main store is built once per prepared query and reset between
+   documents, so the scan loop allocates per match, not per node. *)
+let exec_prepared ?txn t (p : prepared) =
   let table = p.p_table and column = p.p_column in
   let tbl = table_exn t table in
   let xc = xml_column_exn tbl column in
   let before = Rx_obs.Metrics.snapshot t.metrics in
-  let plan = p.p_plan in
   let c_candidates = Rx_obs.Metrics.counter t.metrics "exec.index_candidates" in
   let c_filtered = Rx_obs.Metrics.counter t.metrics "exec.reeval_filtered" in
   let ev =
@@ -2761,20 +2658,50 @@ let exec_prepared t (p : prepared) =
         p.p_ev <- Some ev;
         ev
   in
+  let plan, changed, locate =
+    match txn with
+    | None -> (p.p_plan, [], fun docid -> Some (xc.store, docid))
+    | Some txn ->
+        ensure_txn_open txn;
+        ( (if txn_staged_drop txn ~table ~column then Planner.Full_scan
+           else p.p_plan),
+          txn_changed_docids txn tbl ~column xc,
+          fun docid ->
+            match resolve t (Some txn) tbl xc ~column ~docid with
+            | `Main -> Some (xc.store, docid)
+            | `Internal (ds, i) -> Some (ds, i)
+            | `Absent -> None )
+  in
+  let with_changed docids =
+    if changed = [] then docids
+    else List.sort_uniq compare (List.rev_append changed docids)
+  in
+  let eval store d =
+    if store == xc.store then Executor.eval_with ev ~docid:d
+    else Executor.eval_stored p.p_query store ~docid:d
+  in
   let par = effective_parallelism t in
+  (* snapshot resolution touches txn-local state (staged writes, MVCC
+     chains), so it happens here on the caller; only the pure QuickXScan
+     evaluation fans out to domains *)
   let scan_docs docids =
-    match docids with
+    let located =
+      List.filter_map
+        (fun docid -> Option.map (fun (s, d) -> (docid, s, d)) (locate docid))
+        docids
+    in
+    match located with
     | [] -> []
-    | [ docid ] ->
-        List.map (fun node -> { docid; node }) (Executor.eval_with ev ~docid)
+    | [ (docid, store, d) ] ->
+        List.map (fun node -> { docid; node }) (eval store d)
     | _
       when par > 1
            && Doc_store.data_page_count xc.store
               >= t.config.parallel_scan_min_pages ->
-        (* table is big enough to pay for domains: partition the docid list
-           into contiguous chunks and splice the per-document results back
-           in order (chunks are contiguous, so this IS document order) *)
-        let arr = Array.of_list docids in
+        (* table is big enough to pay for domains: partition the list into
+           contiguous chunks and splice the per-document results back in
+           order (chunks are contiguous, so this IS document order) *)
+        let arr = Array.of_list located in
         let k = min par (Array.length arr) in
         Rx_obs.Metrics.incr
           (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
@@ -2784,57 +2711,74 @@ let exec_prepared t (p : prepared) =
           Executor.eval_partitioned
             ~pool:(Rx_util.Domain_pool.shared ())
             ~parallelism:par p.p_query
-            (Array.map (fun d -> (xc.store, d)) arr)
+            (Array.map (fun (_, s, d) -> (s, d)) arr)
         in
         List.concat
           (Array.to_list
              (Array.mapi
                 (fun i nodes ->
-                  List.map (fun node -> { docid = arr.(i); node }) nodes)
+                  let docid, _, _ = arr.(i) in
+                  List.map (fun node -> { docid; node }) nodes)
                 per_doc))
     | _ ->
         List.concat_map
-          (fun docid ->
-            List.map (fun node -> { docid; node }) (Executor.eval_with ev ~docid))
-          docids
+          (fun (docid, store, d) ->
+            List.map (fun node -> { docid; node }) (eval store d))
+          located
   in
-  let matches =
+  let full_scan () = (true, scan_docs (with_changed (column_docids tbl column))) in
+  let probe docids =
+    let docids = with_changed docids in
+    let ms = scan_docs docids in
+    let surviving = List.sort_uniq compare (List.map (fun m -> m.docid) ms) in
+    Rx_obs.Metrics.add c_filtered
+      (max 0 (List.length docids - List.length surviving));
+    (false, ms)
+  in
+  let scanned_all, matches =
     Rx_obs.Trace.with_span t.tracer "db.query"
       ~attrs:[ ("table", table); ("column", column); ("xpath", p.p_xpath) ]
       (fun () ->
         match plan with
-        | Planner.Full_scan -> scan_docs (column_docids tbl column)
+        | Planner.Full_scan -> full_scan ()
         | Planner.Index_access { exact; _ } -> (
             match Planner.execute_candidates ~indexes:xc.indexes plan with
-            | `All -> scan_docs (column_docids tbl column)
+            | `All -> full_scan ()
             | `Docids docids ->
                 Rx_obs.Metrics.add c_candidates (List.length docids);
-                let ms = scan_docs docids in
-                let surviving =
-                  List.sort_uniq compare (List.map (fun m -> m.docid) ms)
-                in
-                Rx_obs.Metrics.add c_filtered
-                  (max 0 (List.length docids - List.length surviving));
-                ms
+                probe docids
             | `Anchors anchors ->
                 Rx_obs.Metrics.add c_candidates (List.length anchors);
-                if exact then
-                  List.map (fun (docid, node) -> { docid; node }) anchors
-                else begin
-                  let ms =
-                    scan_docs
-                      (List.sort_uniq compare (List.map fst anchors))
-                  in
-                  Rx_obs.Metrics.add c_filtered
-                    (max 0 (List.length anchors - List.length ms));
-                  ms
-                end))
+                if exact && Option.is_none txn then
+                  (false, List.map (fun (docid, node) -> { docid; node }) anchors)
+                else probe (List.sort_uniq compare (List.map fst anchors))))
   in
   let after = Rx_obs.Metrics.snapshot t.metrics in
   {
     matches;
-    plan = p.p_info;
-    serialize = serialize_match t xc;
+    plan =
+      (match txn with
+      | None -> p.p_info
+      | Some _ when scanned_all ->
+          {
+            description = "SNAPSHOT-SCAN(QuickXScan)";
+            uses_index = false;
+            exact = false;
+          }
+      | Some _ ->
+          {
+            p.p_info with
+            description = "SNAPSHOT(" ^ p.p_info.description ^ ")";
+            exact = false;
+          });
+    serialize =
+      (fun m ->
+        match locate m.docid with
+        | Some (ds, d) -> serialize_from t ds ~docid:d m.node
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Database: no document %d in %s.%s" m.docid table
+                 column));
     profile = Rx_obs.Metrics.diff ~before ~after;
   }
 
@@ -2846,26 +2790,19 @@ let pool_guard f =
 
 let run ?ns_env ?txn t ~table ~column ~xpath =
   pool_guard (fun () ->
-      match txn with
-      | Some txn -> run_in_txn ?ns_env t txn ~table ~column ~xpath
-      | None -> exec_prepared t (prepare ?ns_env t ~table ~column ~xpath))
+      exec_prepared ?txn t (prepare ?ns_env t ~table ~column ~xpath))
 
 let run_prepared ?txn t p =
   pool_guard (fun () ->
-      match txn with
-      | Some txn ->
-          run_in_txn ~ns_env:p.p_ns_env t txn ~table:p.p_table ~column:p.p_column
+      (* a handle compiled before a DDL change transparently re-prepares
+         (cheap when the cache already holds the recompiled plan) *)
+      let p =
+        if p.p_epoch = t.ddl_epoch then p
+        else
+          prepare ~ns_env:p.p_ns_env t ~table:p.p_table ~column:p.p_column
             ~xpath:p.p_xpath
-      | None ->
-          (* a handle compiled before a DDL change transparently re-prepares
-             (cheap when the cache already holds the recompiled plan) *)
-          let p =
-            if p.p_epoch = t.ddl_epoch then p
-            else
-              prepare ~ns_env:p.p_ns_env t ~table:p.p_table ~column:p.p_column
-                ~xpath:p.p_xpath
-          in
-          exec_prepared t p)
+      in
+      exec_prepared ?txn t p)
 
 (* --- streamed result cursors --- *)
 

@@ -488,27 +488,6 @@ module Index : sig
       @raise Unknown_index on an unknown table or column. *)
 end
 
-val create_xml_index :
-  t ->
-  table:string ->
-  column:string ->
-  name:string ->
-  path:string ->
-  key_type:Rx_xindex.Index_def.key_type ->
-  unit
-(** @deprecated Alias for {!Index.build} + {!Index.await} (the build is
-    online now, but this call still blocks until it completes). Unlike
-    {!Index.build} it refuses a [name] that already exists, preserving the
-    old contract. *)
-
-val list_xml_indexes : t -> table:string -> column:string -> string list
-(** @deprecated Live index names — {!Index.list} without the typed
-    {!Index.info}. *)
-
-val drop_xml_index :
-  ?txn:txn -> t -> table:string -> column:string -> name:string -> unit
-(** @deprecated Alias for {!Index.drop}. *)
-
 val create_text_index : t -> table:string -> column:string -> name:string -> unit
 (** Full-text inverted index over the column's text and attribute values
     (the §6 future-work extension); backfills existing documents. *)
@@ -648,7 +627,7 @@ val prepare :
 val run_prepared : ?txn:txn -> t -> prepared -> result
 (** Executes a prepared query: {!run} minus parsing, planning and
     QuickXScan construction. With [?txn] it behaves exactly like {!run}
-    with [?txn] (snapshot scan; the stored plan is not used). *)
+    with [?txn], on the same stored plan. *)
 
 val invalidate_plans : t -> unit
 (** Drops every cached plan (bumps the catalog epoch). DDL does this
@@ -662,9 +641,13 @@ val run :
     plan and a per-query runtime-counter profile in one bundle. [ns_env]
     binds the query's namespace prefixes to URIs. With [?txn] the query
     evaluates against the transaction's begin-time snapshot plus its own
-    staged writes; since value indexes describe the current committed
-    state, such reads always scan ([plan.description] =
-    ["SNAPSHOT-SCAN(QuickXScan)"]). *)
+    staged writes. Value indexes describe the current committed state, so
+    a snapshot read takes the plan's index candidates plus every document
+    changed since the snapshot or staged by the transaction, and
+    re-evaluates each at the snapshot ([plan.description] =
+    ["SNAPSHOT(<plan>)"]). It scans the whole snapshot
+    (["SNAPSHOT-SCAN(QuickXScan)"]) when the plan is a full scan or while
+    the transaction has staged a DROP XML INDEX on the column. *)
 
 (** {2 Streamed result cursors}
 

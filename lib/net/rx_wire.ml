@@ -641,7 +641,6 @@ let framed_send fr fd encode v =
   really_write_bytes fd fr.wire 0 (4 + len)
 
 let framed_send_request fr fd r = framed_send fr fd encode_request_into r
-let framed_send_response fr fd r = framed_send fr fd encode_response_into r
 
 let read_exact_into fd buf n =
   let rec go off =

@@ -253,9 +253,6 @@ val framed_send_request : framer -> Unix.file_descr -> request -> unit
 (** {!send_request} through the framer's retained buffers: one [write]
     loop, no per-frame allocation. *)
 
-val framed_send_response : framer -> Unix.file_descr -> response -> unit
-(** {!send_response} through the framer's retained buffers. *)
-
 val framed_recv_response : framer -> Unix.file_descr -> response
 (** {!recv_response} reading into the framer's retained receive buffer
     (the decoded payload string is the one remaining per-frame

@@ -54,7 +54,7 @@ let test_full_session () =
              "isbn:varchar,info:xml" ]);
       ignore
         (expect_ok
-           [ "create-index"; "--db"; db; "--table"; "books"; "--column"; "info";
+           [ "index"; "build"; "--db"; db; "--table"; "books"; "--column"; "info";
              "--name"; "price"; "--path"; "/book/price"; "--type"; "double" ]);
       ignore
         (expect_ok

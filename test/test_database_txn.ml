@@ -78,7 +78,11 @@ let test_snapshot_isolation () =
     [ "<Name>brand-new</Name>" ]
     (serialized ~txn:b db ~xpath);
   let r = Database.run ~txn:b db ~table:"products" ~column:"doc" ~xpath in
-  check Alcotest.string "snapshot reads always scan" "SNAPSHOT-SCAN(QuickXScan)"
+  check Alcotest.string "snapshot reads take the index plan"
+    ("SNAPSHOT("
+    ^ (Database.explain db ~table:"products" ~column:"doc" ~xpath)
+        .Database.description
+    ^ ")")
     r.Database.plan.Database.description;
   check (Alcotest.list Alcotest.string) "A blind before B commits" []
     (serialized ~txn:a db ~xpath);
@@ -97,6 +101,37 @@ let test_snapshot_isolation () =
     (Database.document db ~table:"products" ~column:"doc" ~docid:d);
   Database.commit db a;
   check Alcotest.int "six documents current" 6 (Database.stats db).Database.documents
+
+(* an indexed point query inside a transaction probes the value index
+   and re-evaluates only the candidates; a transaction that staged a DROP
+   XML INDEX on the column scans its whole snapshot instead, with the
+   same answers *)
+let test_snapshot_index_fallbacks () =
+  let db = make_db ~n:40 () in
+  let value name =
+    Rx_obs.Metrics.value (Rx_obs.Metrics.counter (Database.metrics db) name)
+  in
+  let xpath = "/Product[Price = 130]/Name" in
+  let a = Database.begin_txn db in
+  let scanned0 = value "exec.docs_scanned"
+  and cands0 = value "exec.index_candidates" in
+  let r = Database.run ~txn:a db ~table:"products" ~column:"doc" ~xpath in
+  let scanned = value "exec.docs_scanned" - scanned0
+  and cands = value "exec.index_candidates" - cands0 in
+  check Alcotest.bool "index plan" true r.Database.plan.Database.uses_index;
+  check Alcotest.bool "candidates probed" true (cands >= 1);
+  check Alcotest.bool "scans at most the candidates" true (scanned <= cands);
+  check (Alcotest.list Alcotest.string) "indexed answer" [ "<Name>item-13</Name>" ]
+    (List.map r.Database.serialize r.Database.matches);
+  let c = Database.begin_txn db in
+  Database.Index.drop ~txn:c db ~table:"products" ~column:"doc" ~name:"price";
+  let rc = Database.run ~txn:c db ~table:"products" ~column:"doc" ~xpath in
+  check Alcotest.string "staged drop scans the snapshot"
+    "SNAPSHOT-SCAN(QuickXScan)" rc.Database.plan.Database.description;
+  check (Alcotest.list Alcotest.string) "same answer" [ "<Name>item-13</Name>" ]
+    (List.map rc.Database.serialize rc.Database.matches);
+  Database.rollback db c;
+  Database.commit db a
 
 (* auto-commit writers retain pre-images for live snapshots: readers never
    block and never see in-flight current-state changes *)
@@ -349,6 +384,39 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+(* explicit commits fire the auto-checkpoint trigger too, so a stream of
+   explicit-transaction writes keeps truncating the log *)
+let test_commit_auto_checkpoint () =
+  with_temp_dir (fun dir ->
+      let config =
+        { Database.default_config with checkpoint_wal_bytes = 32 * 1024 }
+      in
+      let db = Database.open_dir ~config dir in
+      let _ =
+        Database.create_table db ~name:"t" ~columns:[ ("doc", Value.T_xml) ]
+      in
+      let auto () =
+        Rx_obs.Metrics.value
+          (Rx_obs.Metrics.counter (Database.metrics db) "ckpt.auto")
+      in
+      let auto0 = auto () in
+      let records () = (Database.verify db).Database.wal_records in
+      let shrank = ref false in
+      for i = 1 to 200 do
+        let before = records () in
+        let txn = Database.begin_txn db in
+        ignore
+          (Database.insert ~txn db ~table:"t"
+             ~xml:[ ("doc", Printf.sprintf "<a><b>%d</b><c>%s</c></a>" i (String.make 200 'x')) ]
+             ());
+        Database.commit db txn;
+        if records () < before then shrank := true
+      done;
+      check Alcotest.bool "ckpt.auto bumped" true (auto () > auto0);
+      check Alcotest.bool "log record count shrank" true !shrank;
+      check Alcotest.int "every row kept" 200 (Database.row_count db ~table:"t");
+      Database.close db)
+
 let test_mid_txn_crash_recovery () =
   with_temp_dir (fun dir ->
       let db = Database.open_dir dir in
@@ -397,6 +465,8 @@ let () =
             test_snapshot_isolation;
           Alcotest.test_case "auto-commit writers retain pre-images" `Quick
             test_snapshot_pre_images;
+          Alcotest.test_case "index probe and staged-drop fallback" `Quick
+            test_snapshot_index_fallbacks;
         ] );
       ( "atomicity",
         [
@@ -422,5 +492,7 @@ let () =
         [
           Alcotest.test_case "mid-transaction crash" `Quick
             test_mid_txn_crash_recovery;
+          Alcotest.test_case "explicit commits auto-checkpoint" `Quick
+            test_commit_auto_checkpoint;
         ] );
     ]
