@@ -50,33 +50,25 @@ type local_state =
     }
   | L_deleted
 
+(* One DML statement, as autocommit applies it in place and as commit
+   replays it after staging ([apply_pending] serves both). *)
 type pending =
   | P_insert of {
       p_table : string;
       p_docid : int;
       p_row : Value.t array;
-      p_xml : (string * Rx_txn.Mvcc_store.staged) list;
+      (* per XML column: the document's tokens, parsed from the source on
+         autocommit, read back from the staged image at commit *)
+      p_xml : (string * (unit -> Token.t list)) list;
     }
   | P_delete of { p_table : string; p_docid : int }
-  | P_update_text of {
+  | P_subdoc of {
       p_table : string;
       p_column : string;
       p_docid : int;
-      p_node : Node_id.t;
-      p_content : string;
-    }
-  | P_insert_fragment of {
-      p_table : string;
-      p_column : string;
-      p_docid : int;
-      p_pos : Doc_store.position;
-      p_tokens : Token.t list;
-    }
-  | P_delete_node of {
-      p_table : string;
-      p_column : string;
-      p_docid : int;
-      p_node : Node_id.t;
+      (* edits document [d] of store [ds]: the column's committed store, or
+         the transaction's working copy, where node ids coincide *)
+      p_apply : Doc_store.t -> int -> unit;
     }
   | P_drop_index of { p_table : string; p_column : string; p_name : string }
 
@@ -128,7 +120,6 @@ type config = {
   checkpoint_wal_bytes : int;
   checkpoint_wal_records : int;
   readahead : int;
-  plan_cache_capacity : int;
   commit_window_us : int;
   wal_buffer_bytes : int;
   parallelism : int;
@@ -141,7 +132,6 @@ let default_config =
     checkpoint_wal_bytes = 4 * 1024 * 1024;
     checkpoint_wal_records = 50_000;
     readahead = 8;
-    plan_cache_capacity = 128;
     commit_window_us = 0;
     wal_buffer_bytes = 256 * 1024;
     (* 0 = auto (one worker per core); RX_PARALLELISM seeds the default so
@@ -196,7 +186,7 @@ type t = {
   mutable last_recovery : Rx_wal.Recovery.report option;
   mutable ddl_epoch : int; (* bumped on any DDL; stale plans recompile *)
   mutable dict_persisted : int; (* dict size at the last catalog save *)
-  mutable plan_cache :
+  plan_cache :
     (string * string * string * (string * string) list, prepared) Rx_util.Lru.t;
   mutable builds : build_progress list; (* in-flight/failed online builds *)
   (* serializes the in-memory half of [commit] across threads; the
@@ -261,13 +251,11 @@ let effective_parallelism t =
   | n -> max 1 n
 
 let set_config t config =
-  let resize = config.plan_cache_capacity <> t.config.plan_cache_capacity in
   t.config <- config;
-  (* the LRU has no resize: recreate it (dropping cached plans) when the
-     capacity actually changed *)
-  if resize then
-    t.plan_cache <- Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
   apply_config t
+
+(* prepared plans the per-database LRU cache holds *)
+let plan_cache_capacity = 128
 
 let create_in_memory ?page_size ?(record_threshold = 2048)
     ?(config = default_config) () =
@@ -302,7 +290,7 @@ let create_in_memory ?page_size ?(record_threshold = 2048)
       last_recovery = None;
       ddl_epoch = 0;
       dict_persisted = 0;
-      plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
+      plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
       builds = [];
       write_lock = Mutex.create ();
     }
@@ -758,7 +746,7 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
         last_recovery = None;
         ddl_epoch = 0;
         dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
+        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
         builds = [];
       write_lock = Mutex.create ();
       }
@@ -802,7 +790,7 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
         last_recovery = None;
         ddl_epoch = 0;
         dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
+        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
         builds = [];
       write_lock = Mutex.create ();
       }
@@ -856,7 +844,7 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
         last_recovery = None;
         ddl_epoch = 0;
         dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
+        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
         builds = [];
       write_lock = Mutex.create ();
       }
@@ -1107,6 +1095,16 @@ let txn_staged_drop txn ~table ~column =
       | _ -> false)
     txn.pending
 
+(* reclaim every staged image in [txn]'s private state: a consumed insert
+   image or a private working copy *)
+let discard_staged txn =
+  Hashtbl.iter
+    (fun _ st ->
+      match st with
+      | L_staged { m; s; _ } -> Rx_txn.Mvcc_store.abort m [ s ]
+      | L_deleted -> ())
+    txn.locals
+
 let rollback t txn =
   if txn.txn_open then begin
     txn.txn_open <- false;
@@ -1116,15 +1114,7 @@ let rollback t txn =
        restore the exact pre-transaction state without desyncing any
        store's in-memory bookkeeping *)
     ignore
-      (Rx_txn.Transaction.abort
-         ~undo:(fun () ->
-           Hashtbl.iter
-             (fun _ st ->
-               match st with
-               | L_staged { m; s; _ } -> Rx_txn.Mvcc_store.abort m [ s ]
-               | L_deleted -> ())
-             txn.locals)
-         txn.tx);
+      (Rx_txn.Transaction.abort ~undo:(fun () -> discard_staged txn) txn.tx);
     Rx_obs.Metrics.(incr (counter t.metrics "txn.abort"));
     maybe_purge t
   end
@@ -1247,49 +1237,30 @@ let text_target ds ~docid node =
           in
           scan (Doc_store.Cursor.first_child ds c))
 
-(* replay one staged statement against the current committed state; runs
-   inside the committing transaction, so index/full-text observers fire
-   here — index maintenance is deferred to commit *)
+(* Write one statement into the current committed state at commit
+   timestamp [ts]: an autocommit statement in place, a staged one at its
+   commit. Index and full-text observers fire here. While explicit
+   transactions are active the change is versioned: the pre-image is
+   retained for their snapshots and the new version stamped [ts]. *)
 let apply_pending t ts op =
   let versioned = t.active_txns <> [] in
   match op with
   | P_insert { p_table; p_docid; p_row; p_xml } ->
       let tbl = table_exn t p_table in
       List.iter
-        (fun (column, s) ->
+        (fun (column, tokens) ->
           let xc = xml_column_exn tbl column in
-          (match (Rx_txn.Mvcc_store.staged_internal s, xc.mvcc) with
-          | Some internal, Some m ->
-              let tokens =
-                Doc_store.tokens (Rx_txn.Mvcc_store.store m) ~docid:internal
-              in
-              Doc_store.insert_tokens xc.store ~docid:p_docid tokens
-          | _ -> ());
+          Doc_store.insert_tokens xc.store ~docid:p_docid (tokens ());
           if versioned then Hashtbl.replace xc.created p_docid ts)
         p_xml;
       ignore (Base_table.insert tbl.base ~docid:p_docid p_row)
   | P_delete { p_table; p_docid } ->
       let tbl = table_exn t p_table in
       delete_row t tbl ~docid:p_docid ~ts ~versioned
-  | P_update_text { p_table; p_column; p_docid; p_node; p_content } ->
-      let tbl = table_exn t p_table in
-      let xc = xml_column_exn tbl p_column in
+  | P_subdoc { p_table; p_column; p_docid; p_apply } ->
+      let xc = xml_column_exn (table_exn t p_table) p_column in
       if versioned then retain_before_change t xc ~docid:p_docid ~new_ts:ts;
-      Doc_store.update_text xc.store ~docid:p_docid
-        (text_target xc.store ~docid:p_docid p_node)
-        p_content;
-      if versioned then Hashtbl.replace xc.created p_docid ts
-  | P_insert_fragment { p_table; p_column; p_docid; p_pos; p_tokens } ->
-      let tbl = table_exn t p_table in
-      let xc = xml_column_exn tbl p_column in
-      if versioned then retain_before_change t xc ~docid:p_docid ~new_ts:ts;
-      ignore (Doc_store.insert_fragment xc.store ~docid:p_docid p_pos p_tokens);
-      if versioned then Hashtbl.replace xc.created p_docid ts
-  | P_delete_node { p_table; p_column; p_docid; p_node } ->
-      let tbl = table_exn t p_table in
-      let xc = xml_column_exn tbl p_column in
-      if versioned then retain_before_change t xc ~docid:p_docid ~new_ts:ts;
-      Doc_store.delete_subtree xc.store ~docid:p_docid p_node;
+      p_apply xc.store p_docid;
       if versioned then Hashtbl.replace xc.created p_docid ts
   | P_drop_index { p_table; p_column; p_name } ->
       let tbl = table_exn t p_table in
@@ -1322,15 +1293,7 @@ let commit_async t txn =
     Rx_txn.Transaction.run_as txn.tx (fun () ->
         let ts = t.commit_ts + 1 in
         List.iter (apply_pending t ts) ops;
-        (* reclaim staged working storage: every staged handle in
-           [locals] is either a consumed insert image or a private
-           working copy *)
-        Hashtbl.iter
-          (fun _ st ->
-            match st with
-            | L_staged { m; s; _ } -> Rx_txn.Mvcc_store.abort m [ s ]
-            | L_deleted -> ())
-          txn.locals;
+        discard_staged txn;
         t.commit_ts <- ts)
   with
   | () ->
@@ -2088,66 +2051,84 @@ let resolve t txn_opt tbl xc ~column ~docid =
 
 (* --- DML --- *)
 
-let insert ?txn t ~table ?(values = []) ?(xml = []) () =
-  ensure_writable t;
-  let tbl = table_exn t table in
+(* The one write path for a DML statement [op]. Autocommit applies it in
+   place with [apply_pending], inside its own short transaction; it takes
+   the statement's X [lock] and bumps [commit_ts] only while explicit
+   transactions are active, since no snapshot can tell otherwise. Inside
+   an explicit transaction [stage] records it against the transaction's
+   private state, holding [lock] to the end, and [commit] replays it with
+   the same [apply_pending]. *)
+let dml t txn ~lock ~stage op =
   match txn with
   | None ->
-      in_txn t (fun () ->
-          let docid = tbl.next_docid in
-          tbl.next_docid <- docid + 1;
-          (* store the XML column documents first (validated if bound) *)
-          List.iter
-            (fun (column, src) ->
-              let xc = xml_column_exn tbl column in
-              Doc_store.insert_tokens xc.store ~docid (parse_column_doc t xc src))
-            xml;
-          ignore (Base_table.insert tbl.base ~docid (build_row tbl ~values ~xml docid));
-          (* a fresh docid cannot conflict with any lock, but concurrent
-             snapshots must not see it *)
-          if t.active_txns <> [] then begin
-            let ts = t.commit_ts + 1 in
-            List.iter
-              (fun (column, _) ->
-                Hashtbl.replace (xml_column_exn tbl column).created docid ts)
-              xml;
-            t.commit_ts <- ts
-          end;
-          docid)
+      in_txn_as t (fun atx ->
+          let versioned = t.active_txns <> [] in
+          if versioned then
+            acquire_resource t ~on_self:ignore atx lock Rx_txn.Lock_modes.X;
+          let ts = t.commit_ts + 1 in
+          apply_pending t ts op;
+          if versioned then t.commit_ts <- ts)
   | Some txn ->
       ensure_txn_open txn;
       Rx_txn.Transaction.run_as txn.tx (fun () ->
-          let docid = tbl.next_docid in
-          tbl.next_docid <- docid + 1;
-          acquire t txn (doc_resource tbl docid) Rx_txn.Lock_modes.X;
-          let staged_cols =
-            List.map
-              (fun (column, src) ->
-                let xc = xml_column_exn tbl column in
-                let tokens = parse_column_doc t xc src in
-                let m = ensure_mvcc t xc in
-                let s = Rx_txn.Mvcc_store.stage_write m ~docid tokens in
-                Hashtbl.replace txn.locals (table, column, docid)
-                  (L_staged { m; s; replay = false });
-                (column, s))
-              xml
-          in
-          txn.pending <-
-            P_insert
-              {
-                p_table = table;
-                p_docid = docid;
-                p_row = build_row tbl ~values ~xml docid;
-                p_xml = staged_cols;
-              }
-            :: txn.pending;
-          docid)
+          acquire t txn lock Rx_txn.Lock_modes.X;
+          stage txn)
+
+(* first-updater-wins: a transaction must not replace a document whose
+   current version postdates its snapshot *)
+let check_unchanged txn xc ~docid =
+  match Hashtbl.find_opt xc.created docid with
+  | Some ts when ts > txn.snapshot ->
+      failwith
+        (Printf.sprintf
+           "Database: write-write conflict on DocID %d (updated since \
+            transaction began)"
+           docid)
+  | _ -> ()
+
+(* internal docid of a staged write's image in its staging store *)
+let staged_image s = Option.get (Rx_txn.Mvcc_store.staged_internal s)
+
+let insert ?txn t ~table ?(values = []) ?(xml = []) () =
+  ensure_writable t;
+  let tbl = table_exn t table in
+  let docid = tbl.next_docid in
+  tbl.next_docid <- docid + 1;
+  let p_row = build_row tbl ~values ~xml docid in
+  let stmt p_xml = P_insert { p_table = table; p_docid = docid; p_row; p_xml } in
+  let sources =
+    List.map
+      (fun (column, src) ->
+        let xc = xml_column_exn tbl column in
+        (column, xc, fun () -> parse_column_doc t xc src))
+      xml
+  in
+  dml t txn ~lock:(doc_resource tbl docid)
+    (stmt (List.map (fun (column, _, parse) -> (column, parse)) sources))
+    ~stage:(fun txn ->
+      (* parse now into staged images the transaction reads its own
+         insert from; commit reads the tokens back from there *)
+      let staged =
+        List.map
+          (fun (column, xc, parse) ->
+            let m = ensure_mvcc t xc in
+            let s = Rx_txn.Mvcc_store.stage_write m ~docid (parse ()) in
+            Hashtbl.replace txn.locals (table, column, docid)
+              (L_staged { m; s; replay = false });
+            ( column,
+              fun () ->
+                Doc_store.tokens (Rx_txn.Mvcc_store.store m) ~docid:(staged_image s)
+            ))
+          sources
+      in
+      txn.pending <- stmt staged :: txn.pending);
+  docid
 
 (* Bulk load: one auto-committed transaction for the whole batch. Cost
    model vs a per-[insert] loop: one table-level X lock instead of one
    document lock each, heap placement that probes the free-space map per
-   page instead of per record, index maintenance batched per index, and a
-   single WAL flush (one fsync) at commit. *)
+   page instead of per record, index maintenance batched per observer, and
+   a single WAL flush (one fsync) at commit. *)
 let insert_many ?docids t ~table ~column docs =
   ensure_writable t;
   let tbl = table_exn t table in
@@ -2212,46 +2193,8 @@ let insert_many ?docids t ~table ~column docs =
           (* one lock escalation: table-level X instead of per-document *)
           acquire_resource t ~on_self:ignore atx (Rx_txn.Resource.Table tbl.tid)
             Rx_txn.Lock_modes.X;
-          let triples =
-            Doc_store.insert_tokens_bulk xc.store (List.combine ids parsed)
-          in
-          (* maintenance batched per index (observers were not fired) *)
-          List.iter
-            (fun idx ->
-              List.iter
-                (fun (docid, rid, record) ->
-                  Value_index.index_record idx ~docid ~rid ~record
-                    ~store:(Some xc.store))
-                triples)
-            xc.indexes;
-          (* retained prior generations stay maintained while a rollback
-             to them is possible *)
-          List.iter
-            (fun (_, gs) ->
-              match gs.g_prior with
-              | None -> ()
-              | Some p ->
-                  List.iter
-                    (fun (docid, rid, record) ->
-                      Value_index.index_record p ~docid ~rid ~record
-                        ~store:(Some xc.store))
-                    triples)
-            xc.gens;
-          (* in-flight online builds absorb the batch via their side logs *)
-          List.iter
-            (fun (_, sl) ->
-              List.iter
-                (fun (docid, rid, record) ->
-                  Index_build.absorb sl ~docid ~rid ~record)
-                triples)
-            xc.side_logs;
-          List.iter
-            (fun (_, ti) ->
-              List.iter
-                (fun (docid, rid, record) ->
-                  Rx_fulltext.Text_index.index_record ti ~docid ~rid ~record)
-                triples)
-            xc.text_indexes;
+          (* the store's observers maintain every index over the batch *)
+          Doc_store.insert_tokens_bulk xc.store (List.combine ids parsed);
           ignore
             (Base_table.insert_many tbl.base
                (List.map
@@ -2271,72 +2214,33 @@ let insert_many ?docids t ~table ~column docs =
 let delete ?txn t ~table ~docid =
   ensure_writable t;
   let tbl = table_exn t table in
-  match txn with
-  | None ->
-      in_txn_as t (fun atx ->
-          let versioned = t.active_txns <> [] in
-          let ts = t.commit_ts + 1 in
-          if versioned then
-            acquire_resource t ~on_self:ignore atx (doc_resource tbl docid)
-              Rx_txn.Lock_modes.X;
-          delete_row t tbl ~docid ~ts ~versioned;
-          if versioned then t.commit_ts <- ts)
-  | Some txn ->
-      ensure_txn_open txn;
-      Rx_txn.Transaction.run_as txn.tx (fun () ->
-          acquire t txn (doc_resource tbl docid) Rx_txn.Lock_modes.X;
-          (* deleting a document inserted by this same transaction just
-             cancels the staged insert *)
-          let own_insert =
-            List.exists
-              (function
-                | P_insert { p_docid; p_table; _ } ->
-                    p_docid = docid && p_table = table
-                | _ -> false)
-              txn.pending
-          in
-          if own_insert then begin
-            txn.pending <-
-              List.filter
-                (function
-                  | P_insert { p_docid; p_table; _ } ->
-                      not (p_docid = docid && p_table = table)
-                  | _ -> true)
-                txn.pending;
-            Hashtbl.iter
-              (fun (tb, _, d) st ->
-                if tb = table && d = docid then
-                  match st with
-                  | L_staged { m; s; _ } -> Rx_txn.Mvcc_store.abort m [ s ]
-                  | L_deleted -> ())
-              txn.locals;
-            List.iter
-              (fun (cname, _) ->
-                Hashtbl.replace txn.locals (table, cname, docid) L_deleted)
-              tbl.xml_columns
-          end
-          else begin
-            if Base_table.fetch_by_docid tbl.base docid = None then
-              invalid_arg (Printf.sprintf "Database: no row with DocID %d" docid);
-            (* first-updater-wins: the row's documents must not have been
-               replaced since this transaction's snapshot *)
-            List.iter
-              (fun (_, xc) ->
-                match Hashtbl.find_opt xc.created docid with
-                | Some ts when ts > txn.snapshot ->
-                    failwith
-                      (Printf.sprintf
-                         "Database: write-write conflict on DocID %d (updated \
-                          since transaction began)"
-                         docid)
-                | _ -> ())
-              tbl.xml_columns;
-            txn.pending <- P_delete { p_table = table; p_docid = docid } :: txn.pending;
-            List.iter
-              (fun (cname, _) ->
-                Hashtbl.replace txn.locals (table, cname, docid) L_deleted)
-              tbl.xml_columns
-          end)
+  let op = P_delete { p_table = table; p_docid = docid } in
+  dml t txn ~lock:(doc_resource tbl docid) op ~stage:(fun txn ->
+      let own_insert = function
+        | P_insert { p_docid; p_table; _ } -> p_docid = docid && p_table = table
+        | _ -> false
+      in
+      if List.exists own_insert txn.pending then begin
+        (* deleting a document inserted by this same transaction just
+           cancels the staged insert *)
+        txn.pending <- List.filter (fun op -> not (own_insert op)) txn.pending;
+        Hashtbl.iter
+          (fun (tb, _, d) st ->
+            if tb = table && d = docid then
+              match st with
+              | L_staged { m; s; _ } -> Rx_txn.Mvcc_store.abort m [ s ]
+              | L_deleted -> ())
+          txn.locals
+      end
+      else begin
+        if Base_table.fetch_by_docid tbl.base docid = None then
+          invalid_arg (Printf.sprintf "Database: no row with DocID %d" docid);
+        List.iter (fun (_, xc) -> check_unchanged txn xc ~docid) tbl.xml_columns;
+        txn.pending <- op :: txn.pending
+      end;
+      List.iter
+        (fun (cname, _) -> Hashtbl.replace txn.locals (table, cname, docid) L_deleted)
+        tbl.xml_columns)
 
 let fetch_row t ~table ~docid =
   Base_table.fetch_by_docid (table_exn t table).base docid
@@ -2353,96 +2257,49 @@ let document ?txn t ~table ~column ~docid =
   | `Absent ->
       invalid_arg (Printf.sprintf "Database: no document %d in %s.%s" docid table column)
 
-(* Stage a sub-document statement: lock the node's subtree (which takes IX
-   on the document and table), then apply the statement to this
-   transaction's private working copy — creating it from the current
-   committed version on first touch — and remember it for replay at
-   commit. Statements against a document inserted by this same transaction
-   edit the staged insert image directly; no replay needed. *)
-let stage_subdoc t txn tbl ~table ~column ~docid ~lock_node ~op apply =
-  ensure_txn_open txn;
-  Rx_txn.Transaction.run_as txn.tx (fun () ->
-      let xc = xml_column_exn tbl column in
-      acquire t txn (node_resource tbl docid lock_node) Rx_txn.Lock_modes.X;
-      match Hashtbl.find_opt txn.locals (table, column, docid) with
-      | Some L_deleted ->
-          invalid_arg
-            (Printf.sprintf "Database: document %d deleted in this transaction" docid)
-      | Some (L_staged { m; s; replay }) ->
-          let internal =
-            match Rx_txn.Mvcc_store.staged_internal s with
-            | Some i -> i
-            | None -> assert false
-          in
-          let result = apply (Rx_txn.Mvcc_store.store m) internal in
-          if replay then txn.pending <- op :: txn.pending;
-          result
-      | None ->
-          if not (Doc_store.mem xc.store ~docid) then
-            invalid_arg
-              (Printf.sprintf "Database: no document %d in %s.%s" docid table column);
-          (* first-updater-wins: refuse to edit a document whose current
-             version postdates this transaction's snapshot *)
-          (match Hashtbl.find_opt xc.created docid with
-          | Some ts when ts > txn.snapshot ->
-              failwith
-                (Printf.sprintf
-                   "Database: write-write conflict on DocID %d (updated since \
-                    transaction began)"
-                   docid)
-          | _ -> ());
-          let m = ensure_mvcc t xc in
-          let s =
-            Rx_txn.Mvcc_store.stage_write m ~docid (Doc_store.tokens xc.store ~docid)
-          in
-          Hashtbl.replace txn.locals (table, column, docid)
-            (L_staged { m; s; replay = true });
-          let internal =
-            match Rx_txn.Mvcc_store.staged_internal s with
-            | Some i -> i
-            | None -> assert false
-          in
-          let result = apply (Rx_txn.Mvcc_store.store m) internal in
-          txn.pending <- op :: txn.pending;
-          result)
-
-let subdoc_auto t tbl xc ~docid ~lock_node apply =
-  in_txn_as t (fun atx ->
-      let versioned = t.active_txns <> [] in
-      let ts = t.commit_ts + 1 in
-      if versioned then begin
-        acquire_resource t ~on_self:ignore atx (node_resource tbl docid lock_node)
-          Rx_txn.Lock_modes.X;
-        retain_before_change t xc ~docid ~new_ts:ts
-      end;
-      let result = apply xc.store docid in
-      if versioned then begin
-        Hashtbl.replace xc.created docid ts;
-        t.commit_ts <- ts
-      end;
-      result)
-
-let update_xml_text ?txn t ~table ~column ~docid node content =
+(* A sub-document statement: [apply ds d] edits document [d] of store
+   [ds]. Its lock covers the node's subtree (IX on the document and
+   table). Autocommit applies it in place; a transaction applies it to its
+   private working copy of the document — created from the current
+   committed version on first touch — and replays it at commit. Against a
+   document inserted by this same transaction it edits the staged insert
+   image directly, with nothing to replay. *)
+let subdoc ?txn t ~table ~column ~docid ~lock_node apply =
   ensure_writable t;
   let tbl = table_exn t table in
   let xc = xml_column_exn tbl column in
-  match txn with
-  | None ->
-      subdoc_auto t tbl xc ~docid ~lock_node:node (fun ds d ->
-          Doc_store.update_text ds ~docid:d (text_target ds ~docid:d node) content)
-  | Some txn ->
-      stage_subdoc t txn tbl ~table ~column ~docid ~lock_node:node
-        ~op:
-          (P_update_text
-             {
-               p_table = table;
-               p_column = column;
-               p_docid = docid;
-               p_node = node;
-               p_content = content;
-             })
-        (fun ds d ->
-          Doc_store.update_text ds ~docid:d (text_target ds ~docid:d node) content)
+  let result = ref None in
+  let p_apply ds d = result := Some (apply ds d) in
+  let op = P_subdoc { p_table = table; p_column = column; p_docid = docid; p_apply } in
+  dml t txn ~lock:(node_resource tbl docid lock_node) op ~stage:(fun txn ->
+      let key = (table, column, docid) in
+      let m, s, replay =
+        match Hashtbl.find_opt txn.locals key with
+        | Some L_deleted ->
+            invalid_arg
+              (Printf.sprintf "Database: document %d deleted in this transaction"
+                 docid)
+        | Some (L_staged { m; s; replay }) -> (m, s, replay)
+        | None ->
+            if not (Doc_store.mem xc.store ~docid) then
+              invalid_arg
+                (Printf.sprintf "Database: no document %d in %s.%s" docid table
+                   column);
+            check_unchanged txn xc ~docid;
+            let m = ensure_mvcc t xc in
+            let s =
+              Rx_txn.Mvcc_store.stage_write m ~docid (Doc_store.tokens xc.store ~docid)
+            in
+            Hashtbl.replace txn.locals key (L_staged { m; s; replay = true });
+            (m, s, true)
+      in
+      p_apply (Rx_txn.Mvcc_store.store m) (staged_image s);
+      if replay then txn.pending <- op :: txn.pending);
+  Option.get !result
+
+let update_xml_text ?txn t ~table ~column ~docid node content =
+  subdoc ?txn t ~table ~column ~docid ~lock_node:node (fun ds d ->
+      Doc_store.update_text ds ~docid:d (text_target ds ~docid:d node) content)
 
 let parse_fragment t fragment =
   (* parse the fragment with a synthetic wrapper, then strip it *)
@@ -2462,41 +2319,13 @@ let position_anchor = function
 
 let insert_xml_fragment ?txn t ~table ~column ~docid position fragment =
   ensure_writable t;
-  let tbl = table_exn t table in
-  let xc = xml_column_exn tbl column in
   let inner = parse_fragment t fragment in
-  match txn with
-  | None ->
-      subdoc_auto t tbl xc ~docid ~lock_node:(position_anchor position)
-        (fun ds d -> Doc_store.insert_fragment ds ~docid:d position inner)
-  | Some txn ->
-      stage_subdoc t txn tbl ~table ~column ~docid
-        ~lock_node:(position_anchor position)
-        ~op:
-          (P_insert_fragment
-             {
-               p_table = table;
-               p_column = column;
-               p_docid = docid;
-               p_pos = position;
-               p_tokens = inner;
-             })
-        (fun ds d -> Doc_store.insert_fragment ds ~docid:d position inner)
+  subdoc ?txn t ~table ~column ~docid ~lock_node:(position_anchor position)
+    (fun ds d -> Doc_store.insert_fragment ds ~docid:d position inner)
 
 let delete_xml_node ?txn t ~table ~column ~docid node =
-  ensure_writable t;
-  let tbl = table_exn t table in
-  let xc = xml_column_exn tbl column in
-  match txn with
-  | None ->
-      subdoc_auto t tbl xc ~docid ~lock_node:node (fun ds d ->
-          Doc_store.delete_subtree ds ~docid:d node)
-  | Some txn ->
-      stage_subdoc t txn tbl ~table ~column ~docid ~lock_node:node
-        ~op:
-          (P_delete_node
-             { p_table = table; p_column = column; p_docid = docid; p_node = node })
-        (fun ds d -> Doc_store.delete_subtree ds ~docid:d node)
+  subdoc ?txn t ~table ~column ~docid ~lock_node:node (fun ds d ->
+      Doc_store.delete_subtree ds ~docid:d node)
 
 let xml_handle t ~table ~column ~docid =
   let tbl = table_exn t table in
@@ -2820,7 +2649,6 @@ type cursor = {
   mutable cur_peek : (int * string) option;
       (* a serialized row that did not fit its chunk's budget, carried
          over so it is not serialized twice *)
-  mutable cur_served : int;
   mutable cur_open : bool;
 }
 
@@ -2830,7 +2658,6 @@ let cursor_of_result (r : result) =
     cur_serialize = r.serialize;
     cur_rest = r.matches;
     cur_peek = None;
-    cur_served = 0;
     cur_open = true;
   }
 
@@ -2838,11 +2665,6 @@ let open_cursor ?ns_env ?txn t ~table ~column ~xpath =
   cursor_of_result (run ?ns_env ?txn t ~table ~column ~xpath)
 
 let cursor_plan c = c.cur_plan
-
-let cursor_remaining c =
-  List.length c.cur_rest + match c.cur_peek with Some _ -> 1 | None -> 0
-
-let cursor_served c = c.cur_served
 
 let cursor_next ?(max_bytes = 256 * 1024) c =
   if not c.cur_open then invalid_arg "Database: cursor is closed";
@@ -2877,9 +2699,7 @@ let cursor_next ?(max_bytes = 256 * 1024) c =
             else if bytes >= max_bytes then List.rev (row :: acc)
             else take (row :: acc) bytes
       in
-      let chunk = take [] 0 in
-      c.cur_served <- c.cur_served + List.length chunk;
-      chunk)
+      take [] 0)
 
 let cursor_close c =
   c.cur_open <- false;

@@ -73,10 +73,6 @@ type config = {
           prefetch upcoming pages in one pager read. [<= 1] disables;
           default 8. Effectiveness shows in the
           [bufpool.readahead.{batches,pages,wasted}] counters. *)
-  plan_cache_capacity : int;
-      (** entries in the LRU prepared-plan cache (default 128); see
-          {!prepare}. Changing it via {!set_config} recreates the cache,
-          dropping cached plans. *)
   commit_window_us : int;
       (** microseconds a group-commit leader holds its window open so
           concurrent committers can share its fsync (default 0 = flush
@@ -99,7 +95,7 @@ type config = {
           per-domain setup costs more than the scan. *)
 }
 (** Engine tuning in one record: automatic-checkpoint policy, the read
-    path's readahead and plan-cache knobs, the write path's
+    path's readahead knob, the write path's
     group-commit and WAL-buffer knobs, and the parallel-execution knobs. The checkpoint trigger is evaluated
     after every auto-commit operation and every explicit {!commit}; it
     fires only when no transaction is in flight (checkpointing truncates
@@ -109,7 +105,7 @@ type config = {
 
 val default_config : config
 (** [auto_checkpoint = true], 4 MiB, 50k records; [readahead = 8],
-    [plan_cache_capacity = 128], [commit_window_us = 0],
+    [commit_window_us = 0],
     [wal_buffer_bytes = 256 KiB]; [parallelism] from [RX_PARALLELISM] or 0
     (auto), [parallel_scan_min_pages = 64]. *)
 
@@ -616,7 +612,7 @@ val prepare :
   ?ns_env:(string * string) list ->
   t -> table:string -> column:string -> xpath:string -> prepared
 (** Compiles (or fetches from the plan cache) the query. Results are
-    cached in a per-database LRU keyed by
+    cached in a per-database LRU of 128 plans keyed by
     [(table, column, xpath, canonical ns_env)] and invalidated by any DDL
     — {!run} consults the same cache, so repeated ad-hoc queries skip
     compilation too. Cache traffic shows up in the [plancache.hits] /
@@ -674,10 +670,6 @@ val open_cursor :
     instead of the result itself. With [?txn], the cursor is only valid
     while that transaction stays open. *)
 
-val cursor_of_result : result -> cursor
-(** Wraps an already-executed {!result} as a cursor — {!run} callers can
-    stream a result they already hold without re-executing. *)
-
 val cursor_plan : cursor -> plan_info
 (** The access path the cursor's query executed. *)
 
@@ -691,13 +683,6 @@ val cursor_next : ?max_bytes:int -> cursor -> (int * string) list
     ever exceed [max_bytes]. An empty list means the cursor is exhausted.
     Serialization reads pages, so the usual {!Busy} backpressure applies.
     @raise Invalid_argument on a closed cursor or [max_bytes <= 0]. *)
-
-val cursor_remaining : cursor -> int
-(** Matches not yet served by {!cursor_next}. *)
-
-val cursor_served : cursor -> int
-(** Rows already handed out — with {!cursor_remaining}, progress
-    reporting for long streams. *)
 
 val cursor_close : cursor -> unit
 (** Releases the cursor's remaining matches; further {!cursor_next} calls

@@ -3,7 +3,6 @@ exception Error of { status : int; message : string }
 type t = {
   fd : Unix.file_descr;
   fr : Rx_wire.framer;
-  mutable session : int;
   mutable closed : bool;
 }
 
@@ -20,10 +19,18 @@ let exn_of_status status message =
   | 5 -> Systemrx.Database.Read_only { reason = message }
   | _ -> Error { status; message }
 
+let send c req = Rx_wire.framed_send c.fr c.fd Rx_wire.encode_request_into req
+
+(* a server never half-closes between a request and its reply *)
+let recv c =
+  match Rx_wire.framed_recv c.fr c.fd Rx_wire.decode_response with
+  | Some r -> r
+  | None -> raise (Rx_wire.Protocol_error "connection closed before response")
+
 let rpc c req =
   if c.closed then invalid_arg "Rx_client: connection is closed";
-  Rx_wire.framed_send_request c.fr c.fd req;
-  match Rx_wire.framed_recv_response c.fr c.fd with
+  send c req;
+  match recv c with
   | Rx_wire.Ok ok -> ok
   | Rx_wire.Err { status; message } -> raise (exn_of_status status message)
 
@@ -35,16 +42,14 @@ let connect ?(host = "127.0.0.1") ?(token = "") ?(client = "rx_client") ~port ()
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  let c = { fd; fr = Rx_wire.framer (); session = 0; closed = false } in
+  let c = { fd; fr = Rx_wire.framer (); closed = false } in
   match
     try rpc c (Rx_wire.Hello { token; client })
     with e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
   with
-  | Rx_wire.R_hello { session; _ } ->
-      c.session <- session;
-      c
+  | Rx_wire.R_hello _ -> c
   | _ ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       bad_shape ()
@@ -55,8 +60,6 @@ let close c =
     c.closed <- true;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
-
-let session_id c = c.session
 
 let unit_rpc c req =
   match rpc c req with Rx_wire.R_unit -> () | _ -> bad_shape ()
@@ -232,11 +235,11 @@ let pipeline c ops =
         let flight, rest = split flight_size [] ops in
         (* write the whole flight, then read the whole flight: responses
            come back strictly in request order *)
-        List.iter (fun op -> Rx_wire.framed_send_request c.fr c.fd (request_of_op op)) flight;
+        List.iter (fun op -> send c (request_of_op op)) flight;
         let replies =
           List.map
             (fun _ ->
-              match Rx_wire.framed_recv_response c.fr c.fd with
+              match recv c with
               | Rx_wire.Ok ok -> Stdlib.Ok (reply_of_ok ok)
               | Rx_wire.Err { status; message } ->
                   Stdlib.Error (exn_of_status status message))

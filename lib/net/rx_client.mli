@@ -56,9 +56,6 @@ val close : t -> unit
 (** Sends [Bye] (best effort) and closes the socket. The server rolls
     back any transaction the session still holds. Idempotent. *)
 
-val session_id : t -> int
-(** The server-assigned session id from the handshake. *)
-
 val begin_txn : t -> txn
 (** Opens the session's explicit transaction; until {!commit} or
     {!rollback}, queries and DML on this connection run inside it. *)

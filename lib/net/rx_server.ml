@@ -784,7 +784,7 @@ let reject_overflow t fd =
   (* over-cap connections get one Busy frame before the close, so a
      client can tell backpressure from a crash *)
   (try
-     Rx_wire.send_response fd
+     Rx_wire.framed_send (Rx_wire.framer ()) fd Rx_wire.encode_response_into
        (Rx_wire.Err { status = 3; message = "server at max connections" })
    with _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()

@@ -548,70 +548,12 @@ let decode_response s =
   in
   finish c r
 
-(* --- framing over a file descriptor --- *)
+(* --- framing over a file descriptor ---
 
-let rec really_write fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    really_write fd s (off + n) (len - n)
-  end
-
-let rec really_write_bytes fd b off len =
-  if len > 0 then begin
-    let n = Unix.write fd b off len in
-    really_write_bytes fd b (off + n) (len - n)
-  end
-
-(* [`Eof] only when not a single byte arrives; a partial read followed by
-   EOF is a torn frame *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> if off = 0 then `Eof else raise (Protocol_error "truncated frame")
-      | k -> go (off + k)
-  in
-  go 0
-
-let write_frame fd payload =
-  let len = String.length payload in
-  if len > max_frame then invalid_arg "Rx_wire: frame exceeds max_frame";
-  let b = Buffer.create (4 + len) in
-  put_u32 b len;
-  Buffer.add_string b payload;
-  really_write fd (Buffer.contents b) 0 (4 + len)
-
-let read_frame fd =
-  match read_exact fd 4 with
-  | `Eof -> None
-  | `Ok header ->
-      let len = Int32.to_int (String.get_int32_be header 0) in
-      if len < 0 || len > max_frame then
-        raise (Protocol_error (Printf.sprintf "oversized frame (%d bytes)" len));
-      (match read_exact fd len with
-      | `Eof -> if len = 0 then Some "" else raise (Protocol_error "truncated frame")
-      | `Ok payload -> Some payload)
-
-let send_request fd r = write_frame fd (encode_request r)
-
-let recv_request fd = Option.map decode_request (read_frame fd)
-
-let send_response fd r = write_frame fd (encode_response r)
-
-let recv_response fd =
-  match read_frame fd with
-  | None -> raise (Protocol_error "connection closed before response")
-  | Some payload -> decode_response payload
-
-(* --- per-connection scratch framer ---
-
-   One framer per connection replaces the fresh header/payload [Bytes]
-   the plain [send_*]/[recv_*] helpers allocate per frame: the payload is
-   encoded into a retained [Buffer.t], blitted after a 4-byte header into
-   a retained wire buffer, and written with one [Unix.write] loop; reads
-   land in a retained receive buffer sized to the largest frame seen.
+   A framer holds one connection's retained scratch: the payload is
+   encoded into a [Buffer.t], blitted after a 4-byte header into a wire
+   buffer grown to the largest frame seen, and written with one
+   [Unix.write] loop; reads land in a receive buffer sized the same way.
    Not thread-safe — a framer belongs to exactly one connection. *)
 
 type framer = {
@@ -629,6 +571,12 @@ let framer () =
     rbuf = Bytes.create 4096;
   }
 
+let rec really_write_bytes fd b off len =
+  if len > 0 then begin
+    let n = Unix.write fd b off len in
+    really_write_bytes fd b (off + n) (len - n)
+  end
+
 let framed_send fr fd encode v =
   Buffer.clear fr.payload;
   encode fr.payload v;
@@ -640,8 +588,8 @@ let framed_send fr fd encode v =
   Buffer.blit fr.payload 0 fr.wire 4 len;
   really_write_bytes fd fr.wire 0 (4 + len)
 
-let framed_send_request fr fd r = framed_send fr fd encode_request_into r
-
+(* [`Eof] only when not a single byte arrives; a partial read followed by
+   EOF is a torn frame *)
 let read_exact_into fd buf n =
   let rec go off =
     if off = n then `Ok
@@ -652,7 +600,7 @@ let read_exact_into fd buf n =
   in
   go 0
 
-let framed_read_frame fr fd =
+let framed_recv fr fd decode =
   match read_exact_into fd fr.hdr 4 with
   | `Eof -> None
   | `Ok ->
@@ -662,10 +610,5 @@ let framed_read_frame fr fd =
       if Bytes.length fr.rbuf < len then
         fr.rbuf <- Bytes.create (max len (2 * Bytes.length fr.rbuf));
       (match read_exact_into fd fr.rbuf len with
-      | `Eof -> if len = 0 then Some "" else raise (Protocol_error "truncated frame")
-      | `Ok -> Some (Bytes.sub_string fr.rbuf 0 len))
-
-let framed_recv_response fr fd =
-  match framed_read_frame fr fd with
-  | None -> raise (Protocol_error "connection closed before response")
-  | Some payload -> decode_response payload
+      | `Eof -> raise (Protocol_error "truncated frame")
+      | `Ok -> Some (decode (Bytes.sub_string fr.rbuf 0 len)))

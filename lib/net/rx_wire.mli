@@ -9,7 +9,7 @@
     32-bit count. Frames larger than {!max_frame} are rejected before
     their payload is read, and a stream that ends mid-frame raises
     {!Protocol_error} (a stream that ends cleanly {e between} frames is a
-    normal disconnect, surfaced as [None] by {!recv_request}).
+    normal disconnect, surfaced as [None] by {!framed_recv}).
 
     Clients may {e pipeline}: several requests can be written before the
     first response is read, and the server answers strictly in request
@@ -216,32 +216,13 @@ val encode_response_into : Buffer.t -> response -> unit
 val decode_response : string -> response
 (** @raise Protocol_error like {!decode_request}. *)
 
-val send_request : Unix.file_descr -> request -> unit
-(** Writes one framed request (single [write] loop — header and payload
-    leave together). Allocates per call; connections that care hold a
-    {!framer}. *)
+(** {1 Blocking framing}
 
-val recv_request : Unix.file_descr -> request option
-(** Reads one framed request; [None] on a clean disconnect (EOF before
-    any header byte).
-    @raise Protocol_error on a torn or malformed frame. *)
-
-val send_response : Unix.file_descr -> response -> unit
-(** Writes one framed response. *)
-
-val recv_response : Unix.file_descr -> response
-(** Reads one framed response — a server never half-closes between a
-    request and its reply, so EOF here is an error.
-    @raise Protocol_error on EOF or a malformed frame. *)
-
-(** {1 Per-connection scratch framer}
-
-    The plain [send_*]/[recv_*] helpers allocate a header and payload
-    buffer per frame. A {!framer} retains those buffers across frames —
-    encode scratch, wire buffer, receive scratch, each grown to the
-    largest frame seen — so a long-lived connection frames without
-    per-frame allocation. A framer belongs to exactly one connection and
-    is not thread-safe. *)
+    Each frame is a 4-byte big-endian payload length, then the payload. A
+    {!framer} holds one connection's retained buffers — encode scratch,
+    wire buffer, receive scratch, each grown to the largest frame seen —
+    so a long-lived connection frames without per-frame allocation. A
+    framer belongs to exactly one connection and is not thread-safe. *)
 
 type framer
 (** Retained encode/decode scratch for one connection. *)
@@ -249,12 +230,15 @@ type framer
 val framer : unit -> framer
 (** A fresh framer (a few KiB until frames grow it). *)
 
-val framed_send_request : framer -> Unix.file_descr -> request -> unit
-(** {!send_request} through the framer's retained buffers: one [write]
-    loop, no per-frame allocation. *)
+val framed_send :
+  framer -> Unix.file_descr -> (Buffer.t -> 'a -> unit) -> 'a -> unit
+(** [framed_send fr fd encode v] writes one frame whose payload [encode]
+    appends (e.g. {!encode_request_into}), header and payload in one
+    [write] loop.
+    @raise Invalid_argument if the payload exceeds {!max_frame}. *)
 
-val framed_recv_response : framer -> Unix.file_descr -> response
-(** {!recv_response} reading into the framer's retained receive buffer
-    (the decoded payload string is the one remaining per-frame
-    allocation).
-    @raise Protocol_error on EOF or a malformed frame. *)
+val framed_recv : framer -> Unix.file_descr -> (string -> 'a) -> 'a option
+(** [framed_recv fr fd decode] reads one frame into the framer's receive
+    buffer and decodes its payload (e.g. {!decode_response}); [None] on a
+    clean disconnect (EOF before any header byte).
+    @raise Protocol_error on a torn, oversized or malformed frame. *)

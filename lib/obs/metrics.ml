@@ -160,22 +160,6 @@ let diff ~before ~after =
   in
   merge before after []
 
-let to_text t =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (name, sample) ->
-      match sample with
-      | Counter v | Gauge v -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
-      | Histogram { count; sum; buckets } ->
-          Buffer.add_string buf (Printf.sprintf "%s.count %d\n%s.sum %d\n" name count name sum);
-          Array.iter
-            (fun (le, c) ->
-              let le = if le = max_int then "inf" else string_of_int le in
-              Buffer.add_string buf (Printf.sprintf "%s.bucket{le=%s} %d\n" name le c))
-            buckets)
-    (snapshot t);
-  Buffer.contents buf
-
 let to_json t =
   Json.Obj
     (List.map

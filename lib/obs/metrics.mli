@@ -73,9 +73,5 @@ val diff : before:(string * sample) list -> after:(string * sample) list -> (str
     contribute ["name.count"] and ["name.sum"] deltas; gauges contribute
     their (possibly negative) change under their own name. *)
 
-val to_text : t -> string
-(** One ["name value"] line per instrument (histograms render count/sum and
-    their cumulative buckets). *)
-
 val to_json : t -> Json.t
 (** Object keyed by instrument name; round-trips through {!Json.of_string}. *)

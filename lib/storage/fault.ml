@@ -62,11 +62,6 @@ let arm_random t rng ~max_ops =
   arm t ~after:(1 + Rx_util.Prng.int rng (max 1 max_ops)) kind;
   kind
 
-let disarm t =
-  locked t (fun () ->
-      t.armed <- None;
-      t.fired <- false)
-
 let fired t = locked t (fun () -> t.fired)
 let ops_seen t = locked t (fun () -> t.ops_seen)
 

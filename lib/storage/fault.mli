@@ -50,9 +50,6 @@ val arm_random : t -> Rx_util.Prng.t -> max_ops:int -> kind
     [\[1, max_ops\]], drawn from the caller's seeded PRNG; returns the
     chosen kind for reporting. *)
 
-val disarm : t -> unit
-(** Lets all subsequent I/O through again (also clears the fired state). *)
-
 val fired : t -> bool
 (** Whether the armed fault has gone off. *)
 

@@ -269,4 +269,3 @@ let sync t =
 let close t =
   match t.backend with Mem _ -> () | File f -> Unix.close f.fd
 
-let io_stats t = (Atomic.get t.reads, Atomic.get t.writes)

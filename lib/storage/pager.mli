@@ -83,5 +83,3 @@ val set_fault : t -> Fault.t option -> unit
 (** Installs (or clears) a fault-injection handle consulted by every
     physical write and sync. Testing only. *)
 
-val io_stats : t -> int * int
-(** (reads, writes) performed, for the benchmark harness. *)

@@ -43,7 +43,6 @@ let stage_write t ~docid tokens =
 
 let stage_delete _t ~docid = { docid; version = { ts = -1; internal = None } }
 
-let staged_docid s = s.docid
 let staged_internal s = s.version.internal
 
 (* Insert keeping the chain sorted newest-first; among equal timestamps the
@@ -115,8 +114,6 @@ let iter_tracked t f =
   Hashtbl.iter
     (fun docid c -> if List.exists (fun v -> v.ts >= 0) !c then f docid)
     t.versions
-
-let current_version t ~docid = version_at t ~snapshot:t.next_ts ~docid
 
 let events_at t ~snapshot ~docid f =
   match version_at t ~snapshot ~docid with

@@ -36,9 +36,6 @@ val stage_write : t -> docid:int -> Rx_xml.Token.t list -> staged
 
 val stage_delete : t -> docid:int -> staged
 
-val staged_docid : staged -> int
-(** The (external) document id the staged version belongs to. *)
-
 val staged_internal : staged -> int option
 (** Internal document id holding the staged content; [None] for a staged
     deletion. Valid until the version is aborted. *)
@@ -57,10 +54,6 @@ val abort : t -> staged list -> unit
 
 val snapshot : t -> int
 (** Current timestamp; reads at this snapshot see all commits so far. *)
-
-val current_version : t -> docid:int -> int option
-(** Internal document id of the latest committed version, if the document
-    exists (used by value indexes, which track only current data). *)
 
 val version_at : t -> snapshot:int -> docid:int -> int option
 

@@ -155,7 +155,12 @@ let insert_tokens_bulk t docs =
       staged rids
   in
   t.doc_count <- t.doc_count + List.length docs;
-  triples
+  (* observer-major: each observer (one index) sees the whole batch in
+     one run *)
+  List.iter
+    (fun (_, f) ->
+      List.iter (fun (docid, rid, record) -> f ~docid ~rid ~record) triples)
+    t.record_observers
 
 let insert_document t ~docid src = insert_tokens t ~docid (Parser.parse t.dict src)
 

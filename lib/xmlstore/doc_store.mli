@@ -62,17 +62,13 @@ val insert_tokens : t -> docid:int -> Rx_xml.Token.t list -> unit
 val insert_document : t -> docid:int -> string -> unit
 (** Parses and stores. @raise Rx_xml.Parser.Parse_error on bad input. *)
 
-val insert_tokens_bulk :
-  t ->
-  (int * Rx_xml.Token.t list) list ->
-  (int * Rx_storage.Rid.t * string) list
+val insert_tokens_bulk : t -> (int * Rx_xml.Token.t list) list -> unit
 (** Bulk {!insert_tokens}: packs every [(docid, tokens)] document, places
     all resulting records through {!Rx_storage.Heap_file.insert_many} (one
     free-space probe per page, one record-count bump for the batch), and
-    maintains the NodeID index. Record observers are deliberately {e not}
-    fired — instead every stored [(docid, rid, record)] is returned so the
-    caller can run index maintenance batched per index rather than per
-    document. *)
+    maintains the NodeID index. Record observers fire observer-major: each
+    one runs over every stored record of the batch before the next, so
+    index maintenance is batched per index rather than per document. *)
 
 val delete_document : t -> docid:int -> unit
 val mem : t -> docid:int -> bool

@@ -216,12 +216,23 @@ let test_malformed_payloads () =
   Buffer.add_string b "\x7f\xff\xff\xff";
   expect_protocol_error (fun () -> Rx_wire.decode_request (Buffer.contents b))
 
+(* blocking framing through a connection's framer, for raw peers *)
+let send_request fr fd r = Rx_wire.framed_send fr fd Rx_wire.encode_request_into r
+let recv_request fr fd = Rx_wire.framed_recv fr fd Rx_wire.decode_request
+let send_response fr fd r = Rx_wire.framed_send fr fd Rx_wire.encode_response_into r
+
+let recv_response fr fd =
+  match Rx_wire.framed_recv fr fd Rx_wire.decode_response with
+  | Some r -> r
+  | None -> Alcotest.fail "connection closed before response"
+
 let test_framed_io () =
   (* clean EOF before any header byte is a normal disconnect *)
+  let fr = Rx_wire.framer () in
   let r, w = Unix.pipe () in
   Unix.close w;
   check (Alcotest.option Alcotest.reject) "clean EOF" None
-    (Option.map (fun _ -> ()) (Rx_wire.recv_request r));
+    (Option.map (fun _ -> ()) (recv_request fr r));
   Unix.close r;
   (* torn frame: header promises more than ever arrives *)
   let r, w = Unix.pipe () in
@@ -231,23 +242,23 @@ let test_framed_io () =
   ignore (Unix.write w frame 0 4);
   ignore (Unix.write_substring w payload 0 (String.length payload));
   Unix.close w;
-  expect_protocol_error (fun () -> Rx_wire.recv_request r);
+  expect_protocol_error (fun () -> recv_request fr r);
   Unix.close r;
   (* oversized frame is rejected from the header alone, payload unread *)
   let r, w = Unix.pipe () in
   Bytes.set_int32_be frame 0 (Int32.of_int (Rx_wire.max_frame + 1));
   ignore (Unix.write w frame 0 4);
   Unix.close w;
-  expect_protocol_error (fun () -> Rx_wire.recv_request r);
+  expect_protocol_error (fun () -> recv_request fr r);
   Unix.close r;
   (* a full frame round-trips through a byte stream *)
   let r, w = Unix.pipe () in
   let req =
     Rx_wire.Query { table = "t"; column = "c"; xpath = "//x"; ns_env = [] }
   in
-  Rx_wire.send_request w req;
+  send_request fr w req;
   Unix.close w;
-  (match Rx_wire.recv_request r with
+  (match recv_request fr r with
   | Some got when got = req -> ()
   | _ -> Alcotest.fail "framed request did not round-trip");
   Unix.close r
@@ -494,13 +505,14 @@ let test_deadlock_mapping () =
     Thread.create
       (fun () ->
         let fd, _ = Unix.accept listen in
-        (match Rx_wire.recv_request fd with
+        let fr = Rx_wire.framer () in
+        (match recv_request fr fd with
         | Some (Rx_wire.Hello _) -> (
-            Rx_wire.send_response fd
+            send_response fr fd
               (Rx_wire.Ok (Rx_wire.R_hello { server = "scripted"; session = 1 }));
-            match Rx_wire.recv_request fd with
+            match recv_request fr fd with
             | Some _ ->
-                Rx_wire.send_response fd
+                send_response fr fd
                   (Rx_wire.Err { status = 4; message = "deadlock victim 9" })
             | None -> ())
         | _ -> ());
@@ -638,6 +650,7 @@ let test_slow_loris () =
   Unix.connect fd
     (Unix.ADDR_INET (Unix.inet_addr_loopback, Rx_server.port srv));
   Unix.setsockopt fd Unix.TCP_NODELAY true;
+  let fr = Rx_wire.framer () in
   let frame_of req =
     let p = Rx_wire.encode_request req in
     let hdr = Bytes.create 4 in
@@ -659,14 +672,14 @@ let test_slow_loris () =
       List.length r.Rx_client.matches) ()
   in
   dribble (frame_of (Rx_wire.Hello { token = ""; client = "loris" }));
-  (match Rx_wire.recv_response fd with
+  (match recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_hello _) -> ()
   | _ -> Alcotest.fail "expected hello response");
   dribble
     (frame_of
        (Rx_wire.Query
           { table = "products"; column = "doc"; xpath = "/Product"; ns_env = [] }));
-  (match Rx_wire.recv_response fd with
+  (match recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_matches { matches; _ }) ->
       check Alcotest.int "dribbled query answered" 5 (List.length matches)
   | _ -> Alcotest.fail "expected matches for the dribbled query");
@@ -798,11 +811,12 @@ let test_cursor_abandonment () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd
     (Unix.ADDR_INET (Unix.inet_addr_loopback, Rx_server.port srv));
-  Rx_wire.send_request fd (Rx_wire.Hello { token = ""; client = "abandoner" });
-  (match Rx_wire.recv_response fd with
+  let fr = Rx_wire.framer () in
+  send_request fr fd (Rx_wire.Hello { token = ""; client = "abandoner" });
+  (match recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_hello _) -> ()
   | _ -> Alcotest.fail "handshake failed");
-  Rx_wire.send_request fd
+  send_request fr fd
     (Rx_wire.Open_cursor
        {
          table = "products";
@@ -814,12 +828,12 @@ let test_cursor_abandonment () =
          chunk_bytes = 1;
        });
   let cursor =
-    match Rx_wire.recv_response fd with
+    match recv_response fr fd with
     | Rx_wire.Ok (Rx_wire.R_cursor { cursor; _ }) -> cursor
     | _ -> Alcotest.fail "expected a cursor"
   in
-  Rx_wire.send_request fd (Rx_wire.Fetch { cursor });
-  (match Rx_wire.recv_response fd with
+  send_request fr fd (Rx_wire.Fetch { cursor });
+  (match recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_rows_chunk { matches = [ _ ] }) -> ()
   | _ -> Alcotest.fail "expected a one-row chunk");
   check Alcotest.int "cursor open server-side" 1 (gauge "net.cursors");

@@ -12,14 +12,8 @@ let cval db name = Metrics.value (Metrics.counter (Database.metrics db) name)
 let doc i =
   Printf.sprintf "<book><title>Book %d</title><price>%d.5</price></book>" i i
 
-let setup ?plan_cache_capacity ndocs =
-  let config =
-    match plan_cache_capacity with
-    | None -> Database.default_config
-    | Some plan_cache_capacity ->
-        { Database.default_config with plan_cache_capacity }
-  in
-  let db = Database.create_in_memory ~config () in
+let setup ndocs =
+  let db = Database.create_in_memory () in
   ignore
     (Database.create_table db ~name:"books"
        ~columns:[ ("isbn", Value.T_varchar); ("doc", Value.T_xml) ]);
@@ -163,18 +157,21 @@ let test_ns_env_keying () =
 
 (* --- LRU eviction --- *)
 
+(* the cache holds 128 plans *)
 let test_lru_eviction () =
-  let db = setup ~plan_cache_capacity:2 2 in
+  let db = setup 2 in
   let m0 = cval db "plancache.misses" in
-  ignore (run db "/book/title");
-  ignore (run db "/book/price");
-  ignore (run db "/book") (* evicts /book/title (capacity 2) *);
-  Alcotest.(check int) "three compiles" (m0 + 3) (cval db "plancache.misses");
-  ignore (run db "/book/title");
-  Alcotest.(check int) "evicted entry recompiles" (m0 + 4)
+  let query i = Printf.sprintf "/book[price < %d]/title" i in
+  (* one distinct query more than the cache holds evicts the first *)
+  for i = 0 to 128 do
+    ignore (run db (query i))
+  done;
+  Alcotest.(check int) "129 compiles" (m0 + 129) (cval db "plancache.misses");
+  ignore (run db (query 0));
+  Alcotest.(check int) "evicted entry recompiles" (m0 + 130)
     (cval db "plancache.misses");
-  ignore (run db "/book");
-  Alcotest.(check int) "recent entry survives" (m0 + 4)
+  ignore (run db (query 128));
+  Alcotest.(check int) "recent entry survives" (m0 + 130)
     (cval db "plancache.misses")
 
 (* --- staged DROP XML INDEX under a transaction --- *)

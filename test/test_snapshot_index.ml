@@ -4,7 +4,10 @@
    its in-transaction queries probe them; the other has none, so it scans
    every snapshot-visible document. Every in-transaction query must
    answer byte-identically, in the same order, on both: embedded at
-   parallelism 1 and 4, and over the wire inside BEGIN/COMMIT. *)
+   parallelism 1 and 4, and over the wire inside BEGIN/COMMIT. The
+   programs mix inserts, deletes, text updates, fragment inserts and node
+   deletes, autocommit and staged; reader transactions, which stage
+   nothing, must keep reading exactly their snapshot. *)
 
 open Systemrx
 open Rx_relational
@@ -78,6 +81,8 @@ type session = {
   s_ix : Database.txn;
   s_sc : Database.txn;
   mutable doomed : bool; (* staged an index drop on [ix]: must roll back *)
+  reader : bool; (* never picked for a staged write *)
+  frozen : (int * string) list; (* every item as of the snapshot *)
 }
 
 (* an exception's kind and message without engine-specific txids *)
@@ -111,6 +116,50 @@ let update ?txn db ~docid ~field value =
   | Some node ->
       Database.update_xml_text ?txn db ~table ~column ~docid node
         (string_of_int value)
+
+(* a sub-document insert: a new [field] element before [/item/t], or
+   appended as the item's last child *)
+let add_field ?txn db ~docid ~field ~before value =
+  let anchor, position =
+    if before then ("/item/t", fun n -> Rx_xmlstore.Doc_store.Before n)
+    else ("/item", fun n -> Rx_xmlstore.Doc_store.Last_child_of n)
+  in
+  match node_of ?txn db ~docid anchor with
+  | None -> invalid_arg "no such item"
+  | Some node ->
+      Database.insert_xml_fragment ?txn db ~table ~column ~docid
+        (position node)
+        (Printf.sprintf "<%s>%d</%s>" field value field)
+
+(* a sub-document delete of the item's first [field] element *)
+let drop_field ?txn db ~docid ~field =
+  match node_of ?txn db ~docid ("/item/" ^ field) with
+  | None -> invalid_arg "no such item"
+  | Some node -> Database.delete_xml_node ?txn db ~table ~column ~docid node
+
+(* one random sub-document write, the same on both databases *)
+let random_subdoc_write ~ctx ?txns rng p ~docid =
+  let tix, tsc =
+    match txns with Some (a, b) -> (Some a, Some b) | None -> (None, None)
+  in
+  let field = if Random.State.bool rng then "k" else "v" in
+  let value =
+    if field = "k" then Random.State.int rng 12 else Random.State.int rng 100
+  in
+  match Random.State.int rng 3 with
+  | 0 ->
+      both ~ctx "update"
+        (fun () -> update ?txn:tix p.ix ~docid ~field value)
+        (fun () -> update ?txn:tsc p.sc ~docid ~field value)
+  | 1 ->
+      let before = Random.State.bool rng in
+      both ~ctx "fragment insert"
+        (fun () -> add_field ?txn:tix p.ix ~docid ~field ~before value)
+        (fun () -> add_field ?txn:tsc p.sc ~docid ~field ~before value)
+  | _ ->
+      both ~ctx "node delete"
+        (fun () -> drop_field ?txn:tix p.ix ~docid ~field)
+        (fun () -> drop_field ?txn:tsc p.sc ~docid ~field)
 
 let random_query rng =
   let k () = Random.State.int rng 12 and v () = Random.State.int rng 100 in
@@ -148,8 +197,8 @@ let run_program ~seed ~parallelism =
   for step = 1 to 50 do
     let ctx = Printf.sprintf "seed %d step %d (parallelism %d)" seed step parallelism in
     sessions := List.filter alive !sessions;
-    let pick () =
-      match !sessions with
+    let pick ?(writer = false) () =
+      match List.filter (fun s -> not (writer && s.reader)) !sessions with
       | [] -> None
       | l -> Some (List.nth l (Random.State.int rng (List.length l)))
     in
@@ -178,31 +227,20 @@ let run_program ~seed ~parallelism =
            (fun () -> Database.delete p.ix ~table ~docid)
            (fun () -> Database.delete p.sc ~table ~docid)
      end
-     else if r < 44 then begin
-       let docid = rand_doc () in
-       let field = if Random.State.bool rng then "k" else "v" in
-       let value =
-         if field = "k" then Random.State.int rng 12 else Random.State.int rng 100
-       in
-       both ~ctx "update"
-         (fun () -> update p.ix ~docid ~field value)
-         (fun () -> update p.sc ~docid ~field value)
-     end
+     else if r < 44 then random_subdoc_write ~ctx rng p ~docid:(rand_doc ())
      else if r < 54 then begin
-       if List.length !sessions < 3 then
-         sessions :=
-           {
-             s_ix = Database.begin_txn p.ix;
-             s_sc = Database.begin_txn p.sc;
-             doomed = false;
-           }
-           :: !sessions
+       if List.length !sessions < 3 then begin
+         let s_ix = Database.begin_txn p.ix and s_sc = Database.begin_txn p.sc in
+         let frozen = fst (compare_query ~ctx ~txns:(s_ix, s_sc) p "/item") in
+         let reader = Random.State.int rng 3 = 0 in
+         sessions := { s_ix; s_sc; doomed = false; reader; frozen } :: !sessions
+       end
      end
-     else if r < 70 then begin
-       match pick () with
+     else if r < 74 then begin
+       match pick ~writer:true () with
        | None -> ()
        | Some s -> (
-           match Random.State.int rng 3 with
+           match Random.State.int rng 5 with
            | 0 ->
                let x = rand_item (Printf.sprintf "t%d" step) in
                both ~ctx "staged insert"
@@ -216,22 +254,20 @@ let run_program ~seed ~parallelism =
                  (fun () -> Database.delete ~txn:s.s_ix p.ix ~table ~docid)
                  (fun () -> Database.delete ~txn:s.s_sc p.sc ~table ~docid)
            | _ ->
-               let docid = rand_doc () and value = Random.State.int rng 100 in
-               both ~ctx "staged update"
-                 (fun () -> update ~txn:s.s_ix p.ix ~docid ~field:"v" value)
-                 (fun () -> update ~txn:s.s_sc p.sc ~docid ~field:"v" value))
+               random_subdoc_write ~ctx:(ctx ^ ", staged") ~txns:(s.s_ix, s.s_sc)
+                 rng p ~docid:(rand_doc ()))
      end
-     else if r < 74 then begin
+     else if r < 77 then begin
        (* the indexed side alone stages a DROP XML INDEX: its reads fall
           back to the snapshot scan, and the transaction must roll back *)
-       match pick () with
+       match pick ~writer:true () with
        | Some s when not s.doomed ->
            s.doomed <- true;
            Database.Index.drop ~txn:s.s_ix p.ix ~table ~column
              ~name:(if Random.State.bool rng then "by_k" else "by_v")
        | _ -> ()
      end
-     else if r < 86 then begin
+     else if r < 88 then begin
        match pick () with
        | None -> ()
        | Some s ->
@@ -260,6 +296,18 @@ let run_program ~seed ~parallelism =
         (fun s -> Database.txn_active s.s_ix <> Database.txn_active s.s_sc)
         !sessions
     then Alcotest.failf "%s: transaction liveness diverged" ctx;
+    (* a reader still sees its snapshot: later autocommits and commits
+       must have retained every pre-image it can read *)
+    List.iter
+      (fun s ->
+        if alive s && s.reader then
+          let now = fst (compare_query ~ctx ~txns:(s.s_ix, s.s_sc) p "/item") in
+          if now <> s.frozen then
+            let moved l = List.filter (fun r -> not (List.mem r s.frozen)) l in
+            let lost = List.filter (fun r -> not (List.mem r now)) s.frozen in
+            Alcotest.failf "%s: reader's snapshot moved\n  gained: [%s]\n  lost: [%s]"
+              ctx (show (moved now)) (show lost))
+      !sessions;
     ignore (compare_query ~ctx p (random_query rng))
   done;
   List.iter

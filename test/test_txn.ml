@@ -309,6 +309,52 @@ let test_mvcc_gc_keeps_older_snapshot_versions () =
   check Alcotest.string "s1 still sees v1" "<v>1</v>"
     (Mvcc_store.serialize_at m ~snapshot:s1 ~docid:1)
 
+(* the committed chains snapshot reads consult: which documents have one,
+   and what a snapshot finds in it *)
+let test_mvcc_lookup_at () =
+  let m = make_mvcc () in
+  let s0 = Mvcc_store.snapshot m in
+  ignore (Mvcc_store.commit m [ Mvcc_store.stage_write m ~docid:1 (Rx_xml.Parser.parse dict "<a/>") ]);
+  let s1 = Mvcc_store.snapshot m in
+  ignore (Mvcc_store.commit m [ Mvcc_store.stage_delete m ~docid:1 ]);
+  let s2 = Mvcc_store.snapshot m in
+  let staged = Mvcc_store.stage_write m ~docid:2 (Rx_xml.Parser.parse dict "<b/>") in
+  let lookup snapshot docid =
+    match Mvcc_store.lookup_at m ~snapshot ~docid with
+    | `Version _ -> "version"
+    | `Tombstone -> "tombstone"
+    | `Invisible -> "invisible"
+    | `Untracked -> "untracked"
+  in
+  check Alcotest.string "committed after s0" "invisible" (lookup s0 1);
+  check Alcotest.string "visible at s1" "version" (lookup s1 1);
+  check Alcotest.string "deleted at s2" "tombstone" (lookup s2 1);
+  check Alcotest.string "staged only" "untracked" (lookup s2 2);
+  check Alcotest.string "never written" "untracked" (lookup s2 3);
+  Mvcc_store.abort m [ staged ]
+
+let test_mvcc_tracked_set () =
+  let m = make_mvcc () in
+  let tracked () =
+    let acc = ref [] in
+    Mvcc_store.iter_tracked m (fun d -> acc := d :: !acc);
+    List.sort compare !acc
+  in
+  ignore
+    (Mvcc_store.commit m
+       [ Mvcc_store.stage_write m ~docid:4 (Rx_xml.Parser.parse dict "<a/>");
+         Mvcc_store.stage_write m ~docid:9 (Rx_xml.Parser.parse dict "<b/>") ]);
+  ignore (Mvcc_store.commit m [ Mvcc_store.stage_delete m ~docid:9 ]);
+  let staged = Mvcc_store.stage_write m ~docid:5 (Rx_xml.Parser.parse dict "<c/>") in
+  check (Alcotest.list Alcotest.int) "committed docs, tombstones included" [ 4; 9 ]
+    (tracked ());
+  check Alcotest.bool "staged doc untracked" false (Mvcc_store.tracked m ~docid:5);
+  Mvcc_store.abort m [ staged ];
+  check (Alcotest.list Alcotest.int) "abort leaves the set" [ 4; 9 ] (tracked ());
+  Mvcc_store.clear m;
+  check (Alcotest.list Alcotest.int) "clear empties it" [] (tracked ());
+  check Alcotest.bool "cleared doc untracked" false (Mvcc_store.tracked m ~docid:4)
+
 (* lock-manager model property: grants never violate compatibility *)
 let lock_manager_invariant_prop =
   let op_gen =
@@ -346,107 +392,6 @@ let lock_manager_invariant_prop =
             all)
         all)
 
-(* --- §5.2 versioned NodeID index --- *)
-
-let make_vni () =
-  let pool =
-    Rx_storage.Buffer_pool.create ~capacity:128 (Rx_storage.Pager.create_in_memory ())
-  in
-  Versioned_node_index.create pool
-
-let rid n = Rx_storage.Rid.make ~page:n ~slot:0
-
-let test_vni_basic_seek () =
-  let vni = make_vni () in
-  (* two versions of one record (endpoint 02.06) and a neighbour *)
-  Versioned_node_index.insert vni ~docid:1 ~endpoint:"\x02\x06" ~version:1 (rid 10);
-  Versioned_node_index.insert vni ~docid:1 ~endpoint:"\x02\x06" ~version:3 (rid 30);
-  Versioned_node_index.insert vni ~docid:1 ~endpoint:"\x04" ~version:1 (rid 11);
-  let seek node snapshot = Versioned_node_index.seek vni ~docid:1 ~node ~snapshot in
-  (match seek "\x02\x02" 1 with
-  | Some ("\x02\x06", 1, r) -> check Alcotest.int "v1 rid" 10 r.Rx_storage.Rid.page
-  | _ -> Alcotest.fail "expected v1 at snapshot 1");
-  (match seek "\x02\x02" 5 with
-  | Some ("\x02\x06", 3, r) -> check Alcotest.int "newest rid" 30 r.Rx_storage.Rid.page
-  | _ -> Alcotest.fail "expected v3 at snapshot 5");
-  (match seek "\x02\x02" 2 with
-  | Some ("\x02\x06", 1, _) -> ()
-  | _ -> Alcotest.fail "expected v1 at snapshot 2 (v3 too new)");
-  check Alcotest.bool "nothing before version 1" true (seek "\x02\x02" 0 = None);
-  (* a node past the first interval falls into the neighbour's *)
-  match seek "\x03\x02" 1 with
-  | Some ("\x04", 1, _) -> ()
-  | _ -> Alcotest.fail "expected the next interval"
-
-let test_vni_invisible_endpoint_falls_through () =
-  let vni = make_vni () in
-  (* the first endpoint exists only at version 5; an older, wider interval
-     ends at a later endpoint *)
-  Versioned_node_index.insert vni ~docid:1 ~endpoint:"\x02\x04" ~version:5 (rid 50);
-  Versioned_node_index.insert vni ~docid:1 ~endpoint:"\x02\x08" ~version:2 (rid 20);
-  match Versioned_node_index.seek vni ~docid:1 ~node:"\x02\x02" ~snapshot:3 with
-  | Some ("\x02\x08", 2, _) -> ()
-  | _ -> Alcotest.fail "snapshot 3 must fall through to the older interval"
-
-let test_vni_versions_and_gc () =
-  let vni = make_vni () in
-  for v = 1 to 4 do
-    Versioned_node_index.insert vni ~docid:7 ~endpoint:"\x02" ~version:v (rid v)
-  done;
-  check
-    (Alcotest.list Alcotest.int)
-    "newest first" [ 4; 3; 2; 1 ]
-    (List.map fst (Versioned_node_index.versions_at vni ~docid:7 ~endpoint:"\x02"));
-  check Alcotest.bool "gc one version" true
-    (Versioned_node_index.remove vni ~docid:7 ~endpoint:"\x02" ~version:2);
-  check Alcotest.bool "absent version" false
-    (Versioned_node_index.remove vni ~docid:7 ~endpoint:"\x02" ~version:2);
-  check
-    (Alcotest.list Alcotest.int)
-    "after gc" [ 4; 3; 1 ]
-    (List.map fst (Versioned_node_index.versions_at vni ~docid:7 ~endpoint:"\x02"))
-
-let vni_matches_model_prop =
-  QCheck.Test.make ~name:"versioned seek matches a naive model" ~count:150
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 25)
-           (triple (int_bound 3) (int_bound 5) (int_range 1 9)))
-        (pair (int_bound 5) (int_bound 10)))
-    (fun (entries, (probe_ep, snapshot)) ->
-      let vni = make_vni () in
-      let endpoints = [| "\x02"; "\x02\x04"; "\x04"; "\x04\x02"; "\x06"; "\x08" |] in
-      let model = ref [] in
-      List.iteri
-        (fun i (d, e, v) ->
-          let docid = d and endpoint = endpoints.(e) and version = v in
-          if not (List.exists (fun (d', e', v', _) -> d' = docid && e' = endpoint && v' = version) !model)
-          then begin
-            Versioned_node_index.insert vni ~docid ~endpoint ~version (rid i);
-            model := (docid, endpoint, version, i) :: !model
-          end)
-        entries;
-      let node = endpoints.(probe_ep) in
-      let expected =
-        (* naive: among entries of docid 1 with endpoint >= node and
-           version <= snapshot, the one with the smallest endpoint and,
-           within it, the largest version *)
-        List.filter
-          (fun (d, e, v, _) -> d = 1 && String.compare e node >= 0 && v <= snapshot)
-          !model
-        |> List.sort (fun (_, e1, v1, _) (_, e2, v2, _) ->
-               match String.compare e1 e2 with 0 -> compare v2 v1 | c -> c)
-        |> function
-        | (_, e, v, _) :: _ -> Some (e, v)
-        | [] -> None
-      in
-      let actual =
-        Option.map
-          (fun (e, v, _) -> (e, v))
-          (Versioned_node_index.seek vni ~docid:1 ~node ~snapshot)
-      in
-      expected = actual)
-
 let () =
   Alcotest.run "rx_txn"
     [
@@ -477,14 +422,6 @@ let () =
           Alcotest.test_case "deadlock cycle (two txns)" `Quick
             test_txn_deadlock_cycle;
         ] );
-      ( "versioned_node_index",
-        [
-          Alcotest.test_case "basic seek" `Quick test_vni_basic_seek;
-          Alcotest.test_case "invisible endpoint falls through" `Quick
-            test_vni_invisible_endpoint_falls_through;
-          Alcotest.test_case "versions + gc" `Quick test_vni_versions_and_gc;
-          qcheck vni_matches_model_prop;
-        ] );
       ( "mvcc",
         [
           Alcotest.test_case "snapshot isolation" `Quick test_mvcc_snapshot_isolation;
@@ -493,5 +430,10 @@ let () =
           Alcotest.test_case "gc" `Quick test_mvcc_gc;
           Alcotest.test_case "gc respects snapshots" `Quick
             test_mvcc_gc_keeps_older_snapshot_versions;
+        ] );
+      ( "mvcc_snapshot_chains",
+        [
+          Alcotest.test_case "lookup_at outcomes" `Quick test_mvcc_lookup_at;
+          Alcotest.test_case "tracked set" `Quick test_mvcc_tracked_set;
         ] );
     ]
