@@ -78,26 +78,32 @@ let run_document_size_section () =
     Option.get
       (Rx_xindex.Access.range_of_compare Rx_xpath.Ast.Gt (Rx_xml.Typed_value.Double 495.))
   in
-  let nodeid_ms =
-    Report.time_stable (fun () ->
-        Rx_xindex.Access.anchored_nodeid_list idx range ~level:3)
+  let anchors () =
+    match Rx_xindex.Access.intersect (Nodeid_level 3) [ (idx, range) ] with
+    | `Anchors a -> a
+    | `Docids _ -> assert false
   in
+  let docids () =
+    match Rx_xindex.Access.intersect Docid_level [ (idx, range) ] with
+    | `Docids d -> d
+    | `Anchors _ -> assert false
+  in
+  let nodeid_ms = Report.time_stable anchors in
   let docid_ms =
     Report.time_stable ~min_time_ms:200. (fun () ->
         (* DocID list access: candidates, then re-evaluate each document *)
-        let docids = Rx_xindex.Access.docid_list idx range in
         List.concat_map
           (fun docid ->
             List.map (fun n -> (docid, n)) (Executor.eval_stored query store ~docid))
-          docids)
+          (docids ()))
   in
   let scan_ms =
     Report.time_stable ~min_time_ms:400. (fun () ->
         List.init n_docs (fun i ->
             Executor.eval_stored query store ~docid:(i + 1)))
   in
-  let n_matches = List.length (Rx_xindex.Access.anchored_nodeid_list idx range ~level:3) in
-  let n_cand_docs = List.length (Rx_xindex.Access.docid_list idx range) in
+  let n_matches = List.length (anchors ()) in
+  let n_cand_docs = List.length (docids ()) in
   Report.print_table
     ~columns:[ "method"; "ms"; "notes" ]
     [

@@ -315,6 +315,18 @@ let rec leftmost_leaf t page_no =
     in
     leftmost_leaf t child
 
+(* Copies cells [start, stop) of a leaf, where [stop] is the first slot
+   whose key is [>= hi]: only what the scan can deliver leaves the latch. *)
+let leaf_range page ~start ~hi =
+  let n = Node.ncells page in
+  let stop =
+    match hi with None -> n | Some h -> Int.max start (snd (Node.search page h))
+  in
+  let rec copy i acc =
+    if i < start then acc else copy (i - 1) (Node.leaf_cell page i :: acc)
+  in
+  (copy (stop - 1) [], stop < n)
+
 let iter_range t ?lo ?hi f =
   Rx_obs.Metrics.incr t.c_lookups;
   let start_leaf =
@@ -322,42 +334,31 @@ let iter_range t ?lo ?hi f =
     | Some key -> find_leaf t (root t) key
     | None -> leftmost_leaf t (root t)
   in
-  let within_hi key =
-    match hi with None -> true | Some h -> String.compare key h < 0
-  in
   let delivered = ref 0 in
-  let rec walk page_no start_index =
+  let rec deliver = function
+    | [] -> `Next
+    | (key, value) :: rest -> (
+        incr delivered;
+        match f key value with `Continue -> deliver rest | `Stop -> `Done)
+  in
+  (* the callback runs outside the page latch: it may re-enter the pool *)
+  let rec walk page_no lo =
     if page_no <> 0 then begin
       prefetch_chain t page_no;
-      let cells, sibling =
+      let cells, reached_hi, sibling =
         Buffer_pool.with_page t.pool page_no (fun page ->
-            (leaf_cells page, Node.right page))
+            let start =
+              match lo with None -> 0 | Some key -> snd (Node.search page key)
+            in
+            let cells, reached_hi = leaf_range page ~start ~hi in
+            (cells, reached_hi, Node.right page))
       in
-      let rec consume i = function
-        | [] -> `Next
-        | (key, value) :: rest ->
-            if i < start_index then consume (i + 1) rest
-            else if not (within_hi key) then `Done
-            else begin
-              incr delivered;
-              match f key value with
-              | `Continue -> consume (i + 1) rest
-              | `Stop -> `Done
-            end
-      in
-      match consume 0 cells with
-      | `Done -> ()
-      | `Next -> walk sibling 0
+      match deliver cells with
+      | `Next when not reached_hi -> walk sibling None
+      | `Next | `Done -> ()
     end
   in
-  let start_index =
-    match lo with
-    | None -> 0
-    | Some key ->
-        Buffer_pool.with_page t.pool start_leaf (fun page ->
-            snd (Node.search page key))
-  in
-  walk start_leaf start_index;
+  walk start_leaf lo;
   Rx_obs.Metrics.observe t.h_scan !delivered
 
 let next_prefix prefix =

@@ -45,72 +45,72 @@ let init page ~level =
 let ptr_at page i = u16_get page (ptr_base + (2 * i))
 let set_ptr_at page i v = u16_set page (ptr_base + (2 * i)) v
 
-let read_varint page off =
-  let rec loop off shift acc =
-    let b = Char.code (Bytes.get page off) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then (acc, off + 1) else loop (off + 1) (shift + 7) acc
-  in
-  loop off 0 0
+(* Cell parsing reads lengths and offsets in place: top-level loops over
+   explicit arguments, so a binary-search probe allocates nothing. *)
+let rec varint_end page off =
+  if Char.code (Bytes.get page off) < 0x80 then off + 1 else varint_end page (off + 1)
 
-(* Returns (key, payload_off, payload_len_or_child, cell_end). *)
-let parse_leaf_cell page off =
-  let klen, off = read_varint page off in
-  let vlen, off = read_varint page off in
-  let key = Bytes.sub_string page off klen in
-  let value = Bytes.sub_string page (off + klen) vlen in
-  (key, value, off + klen + vlen)
+let rec varint_value page off shift acc =
+  let b = Char.code (Bytes.get page off) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else varint_value page (off + 1) (shift + 7) acc
 
-let parse_internal_cell page off =
-  let klen, off = read_varint page off in
-  let child = u32_get page off in
-  let key = Bytes.sub_string page (off + 4) klen in
-  (key, child, off + 4 + klen)
+(* Offset of the key bytes of the cell at [cell]; the key length is the
+   cell's first varint. *)
+let key_start page cell =
+  let off = varint_end page cell in
+  if is_leaf page then varint_end page off else off + 4
 
 let key_at page i =
-  let off = ptr_at page i in
-  if is_leaf page then
-    let key, _, _ = parse_leaf_cell page off in
-    key
+  let cell = ptr_at page i in
+  Bytes.sub_string page (key_start page cell) (varint_value page cell 0 0)
+
+let rec compare_bytes page off len key j =
+  if j = len || j = String.length key then Int.compare len (String.length key)
   else
-    let key, _, _ = parse_internal_cell page off in
-    key
+    let c = Char.compare (Bytes.get page (off + j)) key.[j] in
+    if c <> 0 then c else compare_bytes page off len key (j + 1)
+
+(* [String.compare (key_at page i) key] without copying the key out. *)
+let compare_key_at page i key =
+  let cell = ptr_at page i in
+  compare_bytes page (key_start page cell) (varint_value page cell 0 0) key 0
 
 let leaf_cell page i =
-  let key, value, _ = parse_leaf_cell page (ptr_at page i) in
-  (key, value)
+  let cell = ptr_at page i in
+  let klen = varint_value page cell 0 0 in
+  let off = varint_end page cell in
+  let vlen = varint_value page off 0 0 in
+  let off = varint_end page off in
+  (Bytes.sub_string page off klen, Bytes.sub_string page (off + klen) vlen)
 
 let internal_cell page i =
-  let key, child, _ = parse_internal_cell page (ptr_at page i) in
-  (key, child)
+  let cell = ptr_at page i in
+  let off = varint_end page cell in
+  (Bytes.sub_string page (off + 4) (varint_value page cell 0 0), u32_get page off)
 
 let set_internal_child page i child =
-  let off = ptr_at page i in
-  let _, off' = read_varint page off in
-  u32_set page off' child
+  u32_set page (varint_end page (ptr_at page i)) child
 
 let cell_size_at page i =
-  let off = ptr_at page i in
-  if is_leaf page then
-    let _, _, e = parse_leaf_cell page off in
-    e - off
+  let cell = ptr_at page i in
+  let klen = varint_value page cell 0 0 in
+  let off = varint_end page cell in
+  if is_leaf page then varint_end page off + klen + varint_value page off 0 0 - cell
+  else off + 4 + klen - cell
+
+(* first index in [lo, hi) whose key is >= [key] *)
+let rec search_from page key lo hi =
+  if lo >= hi then lo
   else
-    let _, _, e = parse_internal_cell page off in
-    e - off
+    let mid = (lo + hi) / 2 in
+    if compare_key_at page mid key < 0 then search_from page key (mid + 1) hi
+    else search_from page key lo mid
 
 let search page key =
   let n = ncells page in
-  (* binary search for the first index with key_at >= key *)
-  let rec loop lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if String.compare (key_at page mid) key < 0 then loop (mid + 1) hi
-      else loop lo mid
-  in
-  let i = loop 0 n in
-  let found = i < n && String.equal (key_at page i) key in
-  (found, i)
+  let i = search_from page key 0 n in
+  (i < n && compare_key_at page i key = 0, i)
 
 let free_space page =
   cell_start page - (ptr_base + (2 * ncells page)) + frag page
@@ -218,10 +218,8 @@ let replace_value_at page i value =
   let key, old_value = leaf_cell page i in
   if String.length value = String.length old_value then begin
     (* overwrite in place *)
-    let off = ptr_at page i in
-    let klen, off = read_varint page off in
-    let _, off = read_varint page off in
-    Bytes.blit_string value 0 page (off + klen) (String.length value);
+    let off = key_start page (ptr_at page i) + String.length key in
+    Bytes.blit_string value 0 page off (String.length value);
     true
   end
   else begin

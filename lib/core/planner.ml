@@ -1,7 +1,7 @@
 open Rx_xpath
 open Rx_xindex
 
-type granularity = Docid_level | Nodeid_level of int
+type granularity = Access.granularity = Docid_level | Nodeid_level of int
 
 type index_use = {
   index_name : string;
@@ -240,24 +240,6 @@ let execute_candidates ~indexes plan =
         | None -> raise Stale_index
       in
       try
-      match granularity with
-      | Docid_level ->
-          let lists =
-            List.map (fun u -> Access.docid_list (find_index u.index_name) u.range) uses
-          in
-          `Docids
-            (match lists with
-            | [] -> []
-            | first :: rest -> List.fold_left Access.and_docids first rest)
-      | Nodeid_level level ->
-          let lists =
-            List.map
-              (fun u ->
-                Access.anchored_nodeid_list (find_index u.index_name) u.range ~level)
-              uses
-          in
-          `Anchors
-            (match lists with
-            | [] -> []
-            | first :: rest -> List.fold_left Access.and_nodeids first rest)
+        Access.intersect granularity
+          (List.map (fun u -> (find_index u.index_name, u.range)) uses)
       with Stale_index -> `All)

@@ -15,7 +15,9 @@
     combination is only guaranteed to be a superset), so answers are always
     exact after re-evaluation. *)
 
-type granularity = Docid_level | Nodeid_level of int (** anchor level *)
+type granularity = Rx_xindex.Access.granularity =
+  | Docid_level
+  | Nodeid_level of int  (** anchor level *)
 
 type index_use = {
   index_name : string;
@@ -45,9 +47,9 @@ val execute_candidates :
   [ `All
   | `Docids of int list
   | `Anchors of (int * Rx_xmlstore.Node_id.t) list ]
-(** Runs the index scans and combines the lists. Indexes are resolved by
-    name against [indexes] at execution time, so a plan follows an online
-    generation swap transparently; if a named index is no longer live
-    (dropped, or rolled back under a concurrent execution), the plan
+(** Runs the index uses through {!Rx_xindex.Access.intersect}. Indexes are
+    resolved by name against [indexes] at execution time, so a plan follows
+    an online generation swap transparently; if a named index is no longer
+    live (dropped, or rolled back under a concurrent execution), the plan
     degrades to [`All] rather than failing — the DDL epoch bump recompiles
     it for the next fetch. *)

@@ -254,4 +254,16 @@ let decode_key s pos =
         !p + 1 )
   | _ -> invalid_arg "Decimal.decode_key: bad class byte"
 
+let skip_key s pos =
+  match s.[pos] with
+  | '\x02' -> pos + 1
+  | ('\x01' | '\x03') as cls ->
+      let term = if cls = '\x03' then '\x00' else '\xff' in
+      let p = ref (pos + 5) in
+      while s.[!p] <> term do
+        incr p
+      done;
+      !p + 1
+  | _ -> invalid_arg "Decimal.skip_key: bad class byte"
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -36,4 +36,7 @@ val decode_key : string -> int -> t * int
 (** Inverse of {!encode_key}; returns the value and the position just past
     the encoding. *)
 
+val skip_key : string -> int -> int
+(** The position just past the encoding at [pos], without decoding it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -22,6 +22,11 @@ let decode_string s pos =
   in
   loop pos
 
+let rec skip_string s pos =
+  if s.[pos] <> '\x00' then skip_string s (pos + 1)
+  else if s.[pos + 1] = '\xff' then skip_string s (pos + 2)
+  else pos + 2
+
 let encode_int64 buf n =
   let n = Int64.logxor n Int64.min_int in
   let b = Bytes.create 8 in

@@ -11,6 +11,10 @@ val encode_string : Buffer.t -> string -> unit
 
 val decode_string : string -> int -> string * int
 
+val skip_string : string -> int -> int
+(** The position just past the encoded string at [pos], without copying
+    it. *)
+
 val encode_int64 : Buffer.t -> int64 -> unit
 (** 8 bytes, big-endian with the sign bit flipped (orders signed values). *)
 

@@ -8,48 +8,42 @@
     - {e Filtering}: when the index path merely contains the query path, the
       returned list is a superset and the query must be re-evaluated on the
       candidates.
-    - {e ANDing/ORing}: sorted-list intersection/union of DocID or NodeID
-      lists from multiple indexes. If all participating indexes match their
-      predicates exactly, the result is exact; if at least one is exact,
-      NodeID-level ANDing still yields an exact list (the paper's rule —
-      which holds at the anchor level). *)
+    - {e ANDing}: intersection of the DocID or NodeID lists of several
+      index uses. If all participating indexes match their predicates
+      exactly, the result is exact; if at least one is exact, NodeID-level
+      ANDing still yields an exact list (the paper's rule — which holds at
+      the anchor level).
+
+    One kernel, {!intersect}, serves list access (one use) and ANDing (many)
+    at both granularities. *)
 
 type range = {
   min : Value_index.bound option;
   max : Value_index.bound option;
 }
 
+type granularity =
+  | Docid_level
+  | Nodeid_level of int  (** anchor level: depth of the predicates' element *)
+
 val range_of_compare :
   Rx_xpath.Ast.cmp -> Rx_xml.Typed_value.t -> range option
 (** The key range selected by [node op literal]; [None] for [!=], which an
     ordered index cannot serve with one range. *)
 
-val docid_list : Value_index.t -> range -> int list
-(** Sorted, duplicate-free. *)
+val intersect :
+  granularity ->
+  (Value_index.t * range) list ->
+  [> `Docids of int list | `Anchors of (int * Rx_xmlstore.Node_id.t) list ]
+(** The candidates satisfying every [(index, range)] use, each use scanned
+    on its own with {!Value_index.postings}:
+    - [Docid_level]: [`Docids], the sorted DocIDs with an entry in every
+      use's range;
+    - [Nodeid_level l]: [`Anchors], the sorted, duplicate-free
+      [(docid, prefix_at_level node l)] pairs produced by every use; entries
+      whose node is shallower than [l] are dropped.
 
-val nodeid_list : Value_index.t -> range -> (int * Rx_xmlstore.Node_id.t) list
-(** (DocID, value-node NodeID) pairs, sorted, duplicate-free. *)
-
-val anchored_nodeid_list :
-  Value_index.t -> range -> level:int -> (int * Rx_xmlstore.Node_id.t) list
-(** NodeIDs truncated to the ancestor at [level] — the anchor elements the
-    query predicates hang off. Entries shallower than [level] are
-    dropped. *)
-
-val and_docids : int list -> int list -> int list
-(** Sorted-list intersection of DocID lists. *)
-
-val or_docids : int list -> int list -> int list
-(** Sorted-list union of DocID lists. *)
-
-val and_nodeids :
-  (int * Rx_xmlstore.Node_id.t) list ->
-  (int * Rx_xmlstore.Node_id.t) list ->
-  (int * Rx_xmlstore.Node_id.t) list
-(** Sorted-list intersection of (DocID, NodeID) lists. *)
-
-val or_nodeids :
-  (int * Rx_xmlstore.Node_id.t) list ->
-  (int * Rx_xmlstore.Node_id.t) list ->
-  (int * Rx_xmlstore.Node_id.t) list
-(** Sorted-list union of (DocID, NodeID) lists. *)
+    The first use's DocIDs seed a bitset; each later use keeps only postings
+    whose DocID is still live, and anchors are built for the final survivors
+    only. If the first use yields nothing, the later uses are not scanned.
+    An empty [uses] list gives an empty result. *)

@@ -255,25 +255,19 @@ let prefix_successor s =
   in
   bump (Bytes.length b - 1)
 
-let scan t ?min ?max f =
-  let empty = ref false in
+(* The B+tree key interval [lo, hi) holding the values in [min, max];
+   [None] when no key can fall inside. *)
+let key_range t ~min ~max =
   let lo =
     match min with
-    | None -> None
+    | None -> Some None
     | Some (v, inclusive) ->
         let p = value_prefix t v in
-        if inclusive then Some p
-        else begin
-          match prefix_successor p with
-          | Some s -> Some s
-          | None ->
-              (* no key can sort above an all-0xff prefix *)
-              empty := true;
-              None
-        end
+        if inclusive then Some (Some p)
+        else
+          (* no key can sort above an all-0xff prefix *)
+          Option.map Option.some (prefix_successor p)
   in
-  if !empty then ()
-  else
   let hi =
     match max with
     | None -> None
@@ -281,16 +275,43 @@ let scan t ?min ?max f =
         let p = value_prefix t v in
         if inclusive then prefix_successor p else Some p
   in
-  Rx_btree.Btree.iter_range t.tree ?lo ?hi (fun key value ->
-      Rx_obs.Metrics.incr t.c_fetched;
-      f (decode_entry t key value))
+  Option.map (fun lo -> (lo, hi)) lo
+
+(* Where the DocID starts: just past the key value, skipped by its
+   encoding's width or terminator. *)
+let value_end (kt : Index_def.key_type) key =
+  match kt with
+  | Index_def.K_double | Index_def.K_integer | Index_def.K_date -> 8
+  | Index_def.K_string -> Key_codec.skip_string key 0
+  | Index_def.K_decimal -> Decimal.skip_key key 0
+
+let postings t ?min ?max f =
+  match key_range t ~min ~max with
+  | None -> ()
+  | Some (lo, hi) ->
+      let kt = t.definition.Index_def.key_type in
+      (* counted locally, published once: no shared atomic per entry *)
+      let fetched = ref 0 in
+      Fun.protect
+        ~finally:(fun () -> Rx_obs.Metrics.add t.c_fetched !fetched)
+        (fun () ->
+          Rx_btree.Btree.iter_range t.tree ?lo ?hi (fun key _ ->
+              incr fetched;
+              let pos = value_end kt key in
+              let docid =
+                Int64.to_int (Int64.logxor (String.get_int64_be key pos) Int64.min_int)
+              in
+              f docid (String.sub key (pos + 8) (String.length key - pos - 8));
+              `Continue))
 
 let entries t ?min ?max () =
-  let acc = ref [] in
-  scan t ?min ?max (fun e ->
-      acc := e :: !acc;
-      `Continue);
-  List.rev !acc
+  match key_range t ~min ~max with
+  | None -> []
+  | Some (lo, hi) ->
+      Rx_btree.Btree.fold_range t.tree ?lo ?hi ~init:[] (fun acc key value ->
+          Rx_obs.Metrics.incr t.c_fetched;
+          decode_entry t key value :: acc)
+      |> List.rev
 
 let entry_count t = Rx_btree.Btree.entry_count t.tree
 let page_count t = Rx_btree.Btree.page_count t.tree

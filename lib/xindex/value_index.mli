@@ -99,12 +99,17 @@ val remove_keys :
 
 type bound = Rx_xml.Typed_value.t * bool (** value, inclusive? *)
 
-val scan :
-  t -> ?min:bound -> ?max:bound -> (entry -> [ `Continue | `Stop ]) -> unit
-(** Entries in (key, docid, node) order. *)
-
 val entries : t -> ?min:bound -> ?max:bound -> unit -> entry list
-(** {!scan} materialized into a list (tests and small ranges). *)
+(** The decoded entries whose value lies in [\[min, max\]] (each bound
+    inclusive or not), in (key, docid, node) order. For tests and small
+    ranges; plans read {!postings}. *)
+
+val postings :
+  t -> ?min:bound -> ?max:bound -> (int -> Rx_xmlstore.Node_id.t -> unit) -> unit
+(** The [(docid, node)] of each entry {!entries} would return, in the same
+    order, read straight from the key bytes: the key value is skipped, not
+    decoded, and no RID or {!entry} is built. The index ANDing kernel's
+    input. *)
 
 val entry_count : t -> int
 (** Number of live entries in the B+tree. *)

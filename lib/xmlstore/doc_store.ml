@@ -176,8 +176,9 @@ let fetch t rid =
    belongs to another document. *)
 let seek t ~docid node_id =
   let lo = index_key docid node_id in
+  let hi = index_key (docid + 1) Node_id.root in
   let result = ref None in
-  Rx_btree.Btree.iter_range t.index ~lo (fun key value ->
+  Rx_btree.Btree.iter_range t.index ~lo ~hi (fun key value ->
       let entry_docid, pos = Key_codec.decode_int64 key 0 in
       if Int64.to_int entry_docid = docid then
         result :=

@@ -54,12 +54,32 @@ let parent t =
     Some (String.sub t 0 (!i + 1))
   end
 
-let level t = List.length (components t)
+(* [level] and [prefix_at_level] walk the bytes instead of splitting into
+   [components]: each component ends at its one even byte. They reject
+   exactly what [components] rejects, with the same message. *)
+let check_complete t =
+  let n = String.length t in
+  if n > 0 && is_odd_byte (t.[n - 1]) then
+    invalid_arg "Node_id.components: truncated component"
+
+let level t =
+  check_complete t;
+  let count = ref 0 in
+  for i = 0 to String.length t - 1 do
+    if is_even_byte t.[i] then incr count
+  done;
+  !count
 
 let prefix_at_level t n =
-  let comps = components t in
-  if List.length comps < n then invalid_arg "Node_id.prefix_at_level: too shallow";
-  String.concat "" (List.filteri (fun i _ -> i < n) comps)
+  check_complete t;
+  let len = String.length t in
+  (* [i]: bytes consumed; [k]: components completed within them *)
+  let rec walk i k =
+    if k >= n then String.sub t 0 i
+    else if i = len then invalid_arg "Node_id.prefix_at_level: too shallow"
+    else walk (i + 1) (if is_even_byte t.[i] then k + 1 else k)
+  in
+  walk 0 0
 
 let last_component t =
   if is_root t then None

@@ -229,6 +229,84 @@ let btree_range_model_prop =
       in
       expected = actual)
 
+(* iter_range copies a leaf only up to the first key >= hi and hands out
+   exactly the keys in [lo, hi), whether hi falls inside a leaf or on a leaf
+   boundary, and however early the callback stops; btree.scan_len observes
+   the number of cells delivered. *)
+let iter_range_bounds_prop =
+  let key = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '\x00'; '\xff' ]) (int_range 1 6)) in
+  QCheck.Test.make ~name:"iter_range delivers exactly [lo, hi)" ~count:150
+    QCheck.(
+      make
+        Gen.(
+          quad (list_size (int_range 0 300) key) (opt key) (opt key) (int_bound 4)))
+    (fun (keys, lo, hi, stop_after) ->
+      let pool, tree = make_tree ~page_size:512 () in
+      List.iter (fun k -> Btree.insert tree ~key:k ~value:(k ^ "!")) keys;
+      let in_range k =
+        (match lo with None -> true | Some l -> String.compare k l >= 0)
+        && match hi with None -> true | Some h -> String.compare k h < 0
+      in
+      let expected =
+        List.filter in_range (List.sort_uniq String.compare keys)
+        |> List.filteri (fun i _ -> stop_after = 0 || i < stop_after)
+      in
+      let scan_len = Rx_obs.Metrics.histogram (Buffer_pool.metrics pool) "btree.scan_len" in
+      let before = Rx_obs.Metrics.histogram_sum scan_len in
+      let seen = ref [] and values_ok = ref true in
+      Btree.iter_range tree ?lo ?hi (fun k v ->
+          seen := k :: !seen;
+          if v <> k ^ "!" then values_ok := false;
+          if List.length !seen = stop_after then `Stop else `Continue);
+      !values_ok
+      && List.rev !seen = expected
+      && Rx_obs.Metrics.histogram_sum scan_len - before = List.length expected)
+
+let test_iter_stop_first_cell () =
+  let pool, tree = make_tree ~page_size:512 () in
+  for i = 0 to 999 do
+    Btree.insert tree ~key:(Printf.sprintf "%04d" i) ~value:"v"
+  done;
+  let scan_len = Rx_obs.Metrics.histogram (Buffer_pool.metrics pool) "btree.scan_len" in
+  let before = Rx_obs.Metrics.histogram_sum scan_len in
+  let seen = ref [] in
+  Btree.iter_range tree ~lo:"0500" ~hi:"0900" (fun k _ ->
+      seen := k :: !seen;
+      `Stop);
+  check (Alcotest.list Alcotest.string) "first cell only" [ "0500" ] !seen;
+  check Alcotest.int "scan_len counts it" 1
+    (Rx_obs.Metrics.histogram_sum scan_len - before);
+  (* hi just past lo, inside one leaf *)
+  let seen = ref [] in
+  Btree.iter_range tree ~lo:"0500" ~hi:"0502" (fun k _ ->
+      seen := k :: !seen;
+      `Continue);
+  check (Alcotest.list Alcotest.string) "two cells" [ "0501"; "0500" ] !seen
+
+(* Binary search compares keys in place: a probe allocates neither the key
+   nor the value, so a search costs only its result pair. *)
+let test_search_allocation () =
+  let page = Bytes.make 4096 '\x00' in
+  Node.init page ~level:0;
+  for i = 0 to 19 do
+    assert
+      (Node.leaf_insert_at page i ~key:(Printf.sprintf "key%03d" i)
+         ~value:(String.make 100 'v'))
+  done;
+  let key = "key013" in
+  ignore (Node.search page key);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Node.search page key))
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words for 1000 searches" words)
+    true (words < 5_000.);
+  check (Alcotest.pair Alcotest.bool Alcotest.int) "found" (true, 13)
+    (Node.search page key);
+  check Alcotest.string "key_at" "key007" (Node.key_at page 7)
+
 let () =
   Alcotest.run "rx_btree"
     [
@@ -248,5 +326,8 @@ let () =
           Alcotest.test_case "binary keys" `Quick test_binary_keys;
           qcheck btree_model_prop;
           qcheck btree_range_model_prop;
+          qcheck iter_range_bounds_prop;
+          Alcotest.test_case "stop after the first cell" `Quick test_iter_stop_first_cell;
+          Alcotest.test_case "search allocates no keys" `Quick test_search_allocation;
         ] );
     ]

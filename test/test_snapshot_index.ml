@@ -476,6 +476,103 @@ let test_wire () =
       Rx_client.commit r_ix t_ix;
       Rx_client.commit r_sc t_sc)
 
+(* --- multi-valued anchors: why same-index ranges are never merged --- *)
+
+(* A general comparison is existential per value node: a <p> holding
+   values 0 and 100 satisfies [v >= 50 and v < 51], because 100 >= 50 and
+   0 < 51. Index ANDing keeps it by intersecting the two ranges' anchors;
+   one merged [50, 51) range would drop it. Document 1 carries that case
+   plus a shallow /cat/v that no /cat/g/p anchor may pick up; the rest are
+   seeded. Every plan must answer as the unindexed twin does. *)
+let cat_doc_1 =
+  "<cat><v>50</v><g><p><v>0</v><v>100</v></p><p><v>50.5</v></p>\
+   <p><v>51</v></p><p><q><v>50</v></q><v>7</v></p></g></cat>"
+
+let cat_doc rng =
+  let values = [| "0"; "49"; "50"; "50.5"; "51"; "100" |] in
+  let vs n =
+    String.concat ""
+      (List.init n (fun _ -> "<v>" ^ Rx_util.Prng.choose rng values ^ "</v>"))
+  in
+  let p () =
+    "<p>" ^ vs (Rx_util.Prng.int rng 4)
+    ^ (if Rx_util.Prng.bool rng then "<q>" ^ vs 1 ^ "</q>" else "")
+    ^ "</p>"
+  in
+  "<cat>" ^ vs (Rx_util.Prng.int rng 2) ^ "<g>"
+  ^ String.concat "" (List.init (1 + Rx_util.Prng.int rng 3) (fun _ -> p ()))
+  ^ "</g></cat>"
+
+let make_cat_db ~index ~parallelism =
+  let config =
+    { Database.default_config with parallelism; parallel_scan_min_pages = 0 }
+  in
+  let db = Database.create_in_memory ~config () in
+  ignore (Database.create_table db ~name:table ~columns:[ (column, Value.T_xml) ]);
+  Option.iter
+    (fun path ->
+      ignore
+        (Database.Index.await
+           (Database.Index.build db ~table ~column ~name:"by_v" ~path
+              ~key_type:Rx_xindex.Index_def.K_double)))
+    index;
+  let rng = Rx_util.Prng.create ~seed:14 in
+  ignore
+    (Database.insert_many db ~table ~column
+       (cat_doc_1 :: List.init 60 (fun _ -> cat_doc rng)));
+  db
+
+(* query, expected plan of the /cat/g/p/v-indexed database, and of the
+   //v-indexed one *)
+let multi_valued_queries =
+  [
+    ("/cat/g/p[v >= 50 and v < 51]", "NODEID-ANDING(by_v,by_v)",
+     "NODEID-ANDING(by_v,by_v)+FILTER");
+    ("/cat/g/p[v >= 50 and v < 51]/v", "NODEID-ANDING(by_v,by_v)+FILTER",
+     "NODEID-ANDING(by_v,by_v)+FILTER");
+    ("/cat/g/p[v > 0 and v <= 50 and v >= 49]", "NODEID-ANDING(by_v,by_v,by_v)",
+     "NODEID-ANDING(by_v,by_v,by_v)+FILTER");
+    ("//p[v >= 50 and v < 51]", "FULL-SCAN(QuickXScan)",
+     "DOCID-ANDING(by_v,by_v)+FILTER");
+  ]
+
+let test_multi_valued_anchors () =
+  List.iter
+    (fun parallelism ->
+      let exact = make_cat_db ~index:(Some "/cat/g/p/v") ~parallelism
+      and contain = make_cat_db ~index:(Some "//v") ~parallelism
+      and scan = make_cat_db ~index:None ~parallelism in
+      List.iter
+        (fun (xpath, exact_plan, contain_plan) ->
+          let ctx = Printf.sprintf "%s (parallelism %d)" xpath parallelism in
+          let _, want = answer scan xpath in
+          let check_db name db plan =
+            let got_plan, got = answer db xpath in
+            if got_plan <> plan then
+              Alcotest.failf "%s: %s index planned %s, expected %s" ctx name
+                got_plan plan;
+            if got <> want then fail_rows ~ctx:(ctx ^ ", " ^ name) xpath ~ix:got ~sc:want;
+            let txn = Database.begin_txn db in
+            let txn_plan, in_txn = answer ~txn db xpath in
+            Database.commit db txn;
+            if plan <> "FULL-SCAN(QuickXScan)" && txn_plan <> "SNAPSHOT(" ^ plan ^ ")"
+            then Alcotest.failf "%s: %s index in-txn planned %s" ctx name txn_plan;
+            if in_txn <> want then
+              fail_rows ~ctx:(ctx ^ ", " ^ name ^ " in-txn") xpath ~ix:in_txn ~sc:want
+          in
+          check_db "/cat/g/p/v" exact exact_plan;
+          check_db "//v" contain contain_plan)
+        multi_valued_queries;
+      (* the existential case itself: document 1's first <p> (values 0 and
+         100) is an answer; a merged [50, 51) range would keep only the
+         second *)
+      let _, rows = answer exact "/cat/g/p[v >= 50 and v < 51]" in
+      Alcotest.(check (list string))
+        (Printf.sprintf "document 1 anchors (parallelism %d)" parallelism)
+        [ "<p><v>0</v><v>100</v></p>"; "<p><v>50.5</v></p>" ]
+        (List.filter_map (fun (d, s) -> if d = 1 then Some s else None) rows))
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "snapshot_index"
     [
@@ -486,5 +583,7 @@ let () =
           Alcotest.test_case "updates, deletes and inserts after the snapshot"
             `Quick test_scenarios;
           Alcotest.test_case "wire inside BEGIN/COMMIT" `Quick test_wire;
+          Alcotest.test_case "multi-valued anchors, ranges not merged" `Quick
+            test_multi_valued_anchors;
         ] );
     ]

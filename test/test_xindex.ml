@@ -4,6 +4,7 @@ open Rx_xmlstore
 open Rx_xindex
 
 let check = Alcotest.check
+let qcheck = QCheck_alcotest.to_alcotest
 
 let dict = Name_dict.create ()
 
@@ -141,27 +142,166 @@ let test_attribute_index () =
 
 (* --- access methods --- *)
 
+let docids_of = function `Docids d -> d | _ -> Alcotest.fail "expected docids"
+let anchors_of = function `Anchors a -> a | _ -> Alcotest.fail "expected anchors"
+
 let test_docid_and_nodeid_lists () =
   let _, _, idx = setup_catalog () in
   let range =
     Option.get (Access.range_of_compare Rx_xpath.Ast.Gt (Typed_value.Double 150.))
   in
   check (Alcotest.list Alcotest.int) "docid list" [ 16; 17; 18; 19; 20 ]
-    (Access.docid_list idx range);
-  let nodeids = Access.nodeid_list idx range in
-  check Alcotest.int "nodeid list size" 5 (List.length nodeids);
+    (docids_of (Access.intersect Docid_level [ (idx, range) ]));
+  let nodeids = ref [] in
+  Value_index.postings idx ?min:range.min ?max:range.max (fun d n ->
+      nodeids := (d, n) :: !nodeids);
+  check Alcotest.int "nodeid list size" 5 (List.length !nodeids);
   (* anchored at the Product level (3): all truncated to depth 3 *)
-  let anchored = Access.anchored_nodeid_list idx range ~level:3 in
+  let anchored = anchors_of (Access.intersect (Nodeid_level 3) [ (idx, range) ]) in
+  check Alcotest.int "one anchor per match" 5 (List.length anchored);
   check Alcotest.bool "anchored at product" true
     (List.for_all (fun (_, id) -> Node_id.level id = 3) anchored)
 
+(* A double index over /r/e/v whose documents carry the given values, one
+   <e> anchor per document holding all of them. *)
+let multi_valued_index docs =
+  let pool, store = make_store () in
+  let def = Index_def.make ~name:"v" ~path:"/r/e/v" ~key_type:Index_def.K_double in
+  let idx = Value_index.create pool dict def in
+  Value_index.hook idx store;
+  List.iter
+    (fun (docid, values) ->
+      Doc_store.insert_document store ~docid
+        (Printf.sprintf "<r><e>%s</e></r>"
+           (String.concat ""
+              (List.map (Printf.sprintf "<v>%g</v>") values))))
+    docs;
+  idx
+
 let test_and_or () =
+  let idx =
+    multi_valued_index
+      [ (1, [ 1.; 5. ]); (2, [ 5.; 15. ]); (3, [ 15. ]); (4, [ 15.; 5. ]);
+        (7, [ 5. ]); (9, [ 15. ]) ]
+  in
+  let r lo hi =
+    { Access.min = Some (Typed_value.Double lo, true);
+      max = Some (Typed_value.Double hi, false) }
+  in
+  let docids uses = docids_of (Access.intersect Docid_level uses) in
   check (Alcotest.list Alcotest.int) "and" [ 2; 4 ]
-    (Access.and_docids [ 1; 2; 4; 7 ] [ 2; 3; 4; 9 ]);
+    (docids [ (idx, r 0. 10.); (idx, r 10. 20.) ]);
+  check (Alcotest.list Alcotest.int) "and at the anchor level" [ 2; 4 ]
+    (List.map fst
+       (anchors_of (Access.intersect (Nodeid_level 2) [ (idx, r 0. 10.); (idx, r 10. 20.) ])));
+  (* ORing two value ranges of one index is one scan over their union *)
   check (Alcotest.list Alcotest.int) "or" [ 1; 2; 3; 4; 7; 9 ]
-    (Access.or_docids [ 1; 2; 4; 7 ] [ 2; 3; 4; 9 ]);
-  check (Alcotest.list Alcotest.int) "and empty" [] (Access.and_docids [] [ 1 ]);
-  check (Alcotest.list Alcotest.int) "or empty" [ 1 ] (Access.or_docids [] [ 1 ])
+    (docids [ (idx, r 0. 20.) ]);
+  check (Alcotest.list Alcotest.int) "and empty" []
+    (docids [ (idx, r 100. 200.); (idx, r 0. 20.) ]);
+  check (Alcotest.list Alcotest.int) "and with an empty later side" []
+    (docids [ (idx, r 0. 20.); (idx, r 100. 200.) ]);
+  check (Alcotest.list Alcotest.int) "or empty" [ 1 ] (docids [ (idx, r 0. 2.) ])
+
+(* Differential check of the AND kernel against the list-based algorithm
+   it replaced, rebuilt here from [Value_index.entries]: per use, a sorted
+   duplicate-free DocID or anchor list, intersected pairwise. Decimal and
+   string keys exercise the self-delimiting value skip of
+   [Value_index.postings]; string values embed NUL and 0xff bytes. *)
+let oracle granularity uses =
+  let rec merge a b =
+    match (a, b) with
+    | [], _ | _, [] -> []
+    | x :: xs, y :: ys ->
+        let c = compare x y in
+        if c = 0 then x :: merge xs ys else if c < 0 then merge xs b else merge a ys
+  in
+  let entries (idx, r) = Value_index.entries idx ?min:r.Access.min ?max:r.Access.max () in
+  let fold = function [] -> [] | l :: ls -> List.fold_left merge l ls in
+  match granularity with
+  | Access.Docid_level ->
+      `Docids
+        (fold
+           (List.map
+              (fun u ->
+                List.sort_uniq compare
+                  (List.map (fun e -> e.Value_index.docid) (entries u)))
+              uses))
+  | Access.Nodeid_level level ->
+      `Anchors
+        (fold
+           (List.map
+              (fun u ->
+                List.filter_map
+                  (fun e ->
+                    let comps = Node_id.components e.Value_index.node in
+                    if List.length comps < level then None
+                    else
+                      Some
+                        ( e.Value_index.docid,
+                          String.concat "" (List.filteri (fun i _ -> i < level) comps) ))
+                  (entries u)
+                |> List.sort_uniq compare)
+              uses))
+
+let kernel_matches_oracle_prop =
+  let open QCheck.Gen in
+  (* NodeIDs of random depth; sibling numbers past 126 take two bytes *)
+  let rel = map Node_id.nth_sibling_rel (oneof [ int_bound 4; int_range 120 130 ]) in
+  let path depth = map (String.concat "") (list_repeat depth rel) in
+  let str_value = string_size ~gen:(oneofl [ '\x00'; '\xff'; 'a'; 'b' ]) (int_bound 3) in
+  let value kt =
+    match kt with
+    | Index_def.K_string -> map (fun s -> Typed_value.String s) str_value
+    | Index_def.K_decimal ->
+        map
+          (fun n -> Typed_value.Decimal (Rx_util.Decimal.of_float (float_of_int (n - 4) /. 2.)))
+          (int_bound 9)
+    | _ -> map (fun n -> Typed_value.Double (float_of_int n)) (int_bound 9)
+  in
+  (* an anchor at a random depth with 0-3 values on nodes at or below it *)
+  let anchor_keys kt =
+    int_range 1 4 >>= fun depth ->
+    path depth >>= fun anchor ->
+    list_size (int_bound 3)
+      (pair (value kt) (map (fun tail -> anchor ^ tail) (int_bound 2 >>= path)))
+  in
+  let doc_keys kt = map List.concat (list_size (int_bound 3) (anchor_keys kt)) in
+  let bound kt = opt (pair (value kt) bool) in
+  let case kt =
+    let* docs = list_size (int_range 1 12) (doc_keys kt) in
+    let* docs2 = list_size (int_range 1 12) (doc_keys kt) in
+    let* uses = list_size (int_range 1 3) (triple bool (bound kt) (bound kt)) in
+    let* level = int_bound 5 in
+    return (docs, docs2, uses, level)
+  in
+  let run kt (docs, docs2, uses, level) =
+    let pool, _ = make_store () in
+    let make name keys =
+      let def = Index_def.make ~name ~path:("//" ^ name) ~key_type:kt in
+      let idx = Value_index.create pool dict def in
+      List.iteri
+        (fun i keys ->
+          Value_index.insert_keys idx ~docid:(i + 1) ~rid:(Rx_storage.Rid.make ~page:1 ~slot:i)
+            keys)
+        keys;
+      idx
+    in
+    let a = make "a" docs and b = make "b" docs2 in
+    let uses =
+      List.map
+        (fun (second, min, max) -> ((if second then b else a), { Access.min; max }))
+        uses
+    in
+    let granularity = if level = 0 then Access.Docid_level else Nodeid_level level in
+    Access.intersect granularity uses = oracle granularity uses
+  in
+  let test kt name =
+    QCheck.Test.make ~name ~count:200 (QCheck.make (case kt)) (run kt)
+  in
+  [ test Index_def.K_double "AND kernel = list oracle, double";
+    test Index_def.K_string "AND kernel = list oracle, string";
+    test Index_def.K_decimal "AND kernel = list oracle, decimal" ]
 
 let test_range_of_compare () =
   let v = Typed_value.Double 10. in
@@ -188,7 +328,8 @@ let test_filtering_superset () =
     Option.get (Access.range_of_compare Rx_xpath.Ast.Gt (Typed_value.Double 0.2))
   in
   (* index gives a superset: both docs *)
-  check (Alcotest.list Alcotest.int) "superset" [ 1; 2 ] (Access.docid_list idx range);
+  check (Alcotest.list Alcotest.int) "superset" [ 1; 2 ]
+    (docids_of (Access.intersect Docid_level [ (idx, range) ]));
   (* and the index path does contain the query path *)
   check Alcotest.bool "containment holds" true
     (Rx_xpath.Containment.contains def.Index_def.path
@@ -218,5 +359,6 @@ let () =
           Alcotest.test_case "anding/oring" `Quick test_and_or;
           Alcotest.test_case "range of compare" `Quick test_range_of_compare;
           Alcotest.test_case "filtering superset" `Quick test_filtering_superset;
-        ] );
+        ]
+        @ List.map qcheck kernel_matches_oracle_prop );
     ]

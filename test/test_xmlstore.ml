@@ -130,6 +130,43 @@ let node_id_order_concat_prop =
       let ax = String.concat "" xs and ay = String.concat "" ys in
       compare (Node_id.compare ax ay) 0 = compare (compare xs ys) 0)
 
+(* [level] and [prefix_at_level] are byte walks; they must agree with the
+   component split on valid IDs and raise in the same cases with the same
+   message: a truncated ID (trailing odd byte), or a node shallower than the
+   requested prefix. *)
+let node_id_level_prefix_prop =
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  let by_components t n =
+    let comps = Node_id.components t in
+    if List.length comps < n then invalid_arg "Node_id.prefix_at_level: too shallow";
+    String.concat "" (List.filteri (fun i _ -> i < n) comps)
+  in
+  QCheck.Test.make ~name:"level/prefix match components" ~count:2000
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_bound 5) (make rel_gen))
+        (make Gen.(oneofl [ ""; "\x01"; "\xff\x03" ]))
+        (make Gen.(int_range (-1) 7)))
+    (fun (comps, tail, n) ->
+      let t = String.concat "" comps ^ tail in
+      outcome (fun () -> Node_id.level t)
+      = outcome (fun () -> List.length (Node_id.components t))
+      && outcome (fun () -> Node_id.prefix_at_level t n)
+         = outcome (fun () -> by_components t n))
+
+let test_node_id_level_prefix_raises () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "truncated level" (fun () -> Node_id.level "\x02\x03");
+  raises "truncated prefix" (fun () -> Node_id.prefix_at_level "\x02\x03" 1);
+  raises "too shallow" (fun () -> Node_id.prefix_at_level "\x02\x04" 3);
+  check Alcotest.string "prefix at its own level" "\x02\x05\x04"
+    (Node_id.prefix_at_level "\x02\x05\x04" 2);
+  check Alcotest.string "prefix at 1" "\x02" (Node_id.prefix_at_level "\x02\x05\x04" 1)
+
 (* --- packing: the Figure 3 example --- *)
 
 let dict = Name_dict.create ()
@@ -412,6 +449,8 @@ let () =
           Alcotest.test_case "between stress" `Quick test_node_id_between_stress;
           qcheck node_id_between_prop;
           qcheck node_id_order_concat_prop;
+          Alcotest.test_case "level/prefix raise" `Quick test_node_id_level_prefix_raises;
+          qcheck node_id_level_prefix_prop;
         ] );
       ( "packing",
         [
