@@ -156,6 +156,8 @@ let fan_out ~clients ~port ~ops =
 
 let run_phase ~clients ~ops =
   with_served_db @@ fun db port ->
+  (* txn.commit counts every committed transaction: explicit COMMITs and
+     wire autocommit inserts/deletes alike *)
   let commits0 = cval db "txn.commit" in
   let fsyncs0 = cval db "wal.forced_syncs" in
   let t0 = Unix.gettimeofday () in

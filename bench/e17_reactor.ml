@@ -184,6 +184,8 @@ let pipelined_client ~port ~ops ~flight id =
   !errors
 
 let run_phase ~label:_ ~db ~port ~clients ~ops run_client =
+  (* txn.commit counts every committed transaction: explicit COMMITs and
+     wire autocommit inserts/deletes alike *)
   let commits0 = cval db "txn.commit" in
   let fsyncs0 = cval db "wal.forced_syncs" in
   let t0 = Unix.gettimeofday () in

@@ -57,8 +57,8 @@ type pending =
       p_table : string;
       p_docid : int;
       p_row : Value.t array;
-      (* per XML column: the document's tokens, parsed from the source on
-         autocommit, read back from the staged image at commit *)
+      (* per XML column: the document's tokens, parsed before the
+         statement runs, read back from the staged image at commit *)
       p_xml : (string * (unit -> Token.t list)) list;
     }
   | P_delete of { p_table : string; p_docid : int }
@@ -189,9 +189,12 @@ type t = {
   plan_cache :
     (string * string * string * (string * string) list, prepared) Rx_util.Lru.t;
   mutable builds : build_progress list; (* in-flight/failed online builds *)
-  (* serializes the in-memory half of [commit] across threads; the
-     durability wait happens outside it so committers group their fsyncs *)
+  (* the engine lock ([exclusively]): serializes every handle operation
+     of a multi-threaded host. Commits made under it defer their
+     durability waits to its release, so committers group their fsyncs *)
   write_lock : Mutex.t;
+  lock_holder : int Atomic.t; (* Thread.id inside [exclusively], or -1 *)
+  mutable deferred_waits : (unit -> unit) list; (* newest first *)
 }
 
 type match_ = { docid : int; node : Node_id.t }
@@ -215,8 +218,6 @@ let install_txn pool log =
     (fun n -> ignore (Rx_obs.Metrics.counter metrics n))
     [
       "txn.begin";
-      "txn.commit";
-      "txn.abort";
       "plancache.hits";
       "plancache.misses";
       "plancache.invalidations";
@@ -257,6 +258,38 @@ let set_config t config =
 (* prepared plans the per-database LRU cache holds *)
 let plan_cache_capacity = 128
 
+(* a handle over opened layers, with no tables attached yet *)
+let make_handle ~pool ~log ~txn_mgr ~catalog ~dir ~replica ~record_threshold
+    ~metrics ~tracer ~config =
+  {
+    pool;
+    log;
+    dict = Name_dict.create ();
+    txn_mgr;
+    catalog;
+    dir;
+    replica;
+    record_threshold;
+    metrics;
+    tracer;
+    tables = [];
+    schemas = [];
+    commit_ts = 0;
+    active_txns = [];
+    config;
+    checkpointing = false;
+    ckpt_mark = 0;
+    degraded = None;
+    last_recovery = None;
+    ddl_epoch = 0;
+    dict_persisted = 0;
+    plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
+    builds = [];
+    write_lock = Mutex.create ();
+    lock_holder = Atomic.make (-1);
+    deferred_waits = [];
+  }
+
 let create_in_memory ?page_size ?(record_threshold = 2048)
     ?(config = default_config) () =
   let metrics = Rx_obs.Metrics.create () in
@@ -266,34 +299,10 @@ let create_in_memory ?page_size ?(record_threshold = 2048)
   in
   let log = Rx_wal.Log_manager.create_in_memory ~metrics () in
   let txn_mgr = install_txn pool log in
-  let catalog = Catalog.create pool in
   let t =
-    {
-      pool;
-      log;
-      dict = Name_dict.create ();
-      txn_mgr;
-      catalog;
-      dir = None;
-      replica = false;
-      record_threshold;
-      metrics;
-      tracer = Rx_obs.Trace.create ();
-      tables = [];
-      schemas = [];
-      commit_ts = 0;
-      active_txns = [];
-      config;
-      checkpointing = false;
-      ckpt_mark = 0;
-      degraded = None;
-      last_recovery = None;
-      ddl_epoch = 0;
-      dict_persisted = 0;
-      plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
-      builds = [];
-      write_lock = Mutex.create ();
-    }
+    make_handle ~pool ~log ~txn_mgr ~catalog:(Catalog.create pool) ~dir:None
+      ~replica:false ~record_threshold ~metrics ~tracer:(Rx_obs.Trace.create ())
+      ~config
   in
   apply_config t;
   t
@@ -307,11 +316,57 @@ let auto_checkpoint_trigger : (t -> unit) ref = ref (fun _ -> ())
    [save_catalog], defined below) *)
 let dict_persist_trigger : (t -> unit) ref = ref (fun _ -> ())
 
+(* --- the engine lock ---
+
+   One critical section serializes a multi-threaded host's handle
+   operations. It is reentrant on the thread that holds it, so a commit
+   may run inside it. Every commit appends its Commit record and releases
+   its locks under the lock but defers its durability wait to the
+   outermost [exclusively_async], which hands the combined wait back once
+   the lock is released: N sessions committing back to back share one
+   fsync instead of paying one each under the lock. Releasing locks
+   before the wait is sound because any later flush covers this record's
+   LSN. *)
+
+let holds_lock t = Atomic.get t.lock_holder = Thread.id (Thread.self ())
+
+(* a commit's durability wait: deferred to the lock's release when this
+   thread holds it, run now otherwise *)
+let await_durable t await =
+  if holds_lock t then t.deferred_waits <- await :: t.deferred_waits
+  else await ()
+
+let exclusively_async t f =
+  if holds_lock t then (f (), ignore)
+  else begin
+    Mutex.lock t.write_lock;
+    Atomic.set t.lock_holder (Thread.id (Thread.self ()));
+    let release () =
+      let waits = t.deferred_waits in
+      t.deferred_waits <- [];
+      Atomic.set t.lock_holder (-1);
+      Mutex.unlock t.write_lock;
+      fun () -> List.iter (fun wait -> wait ()) (List.rev waits)
+    in
+    match f () with
+    | v -> (v, release ())
+    | exception e ->
+        (* whatever [f] committed still becomes durable *)
+        let bt = Printexc.get_raw_backtrace () in
+        release () ();
+        Printexc.raise_with_backtrace e bt
+  end
+
+let exclusively t f =
+  let v, wait = exclusively_async t f in
+  wait ();
+  v
+
 let in_txn_as t f =
   let txn = Rx_txn.Transaction.begin_txn t.txn_mgr in
   match Rx_txn.Transaction.run_as txn (fun () -> f txn) with
   | result ->
-      ignore (Rx_txn.Transaction.commit txn);
+      await_durable t (snd (Rx_txn.Transaction.precommit txn));
       !dict_persist_trigger t;
       !auto_checkpoint_trigger t;
       result
@@ -493,12 +548,13 @@ let checkpoint t =
 (* Fires after every auto-commit operation and explicit commit: checkpoint
    once the log has grown past the configured thresholds, provided no
    transaction is in flight (a checkpoint truncates the log, so losers
-   must not have live records there). *)
+   must not have live records there). That includes a statement or commit
+   replay that the firing transaction is nested in. *)
 let maybe_auto_checkpoint t =
   if
     t.config.auto_checkpoint && (not t.checkpointing) && t.degraded = None
     && (not t.replica)
-    && t.active_txns = []
+    && Rx_txn.Transaction.active_count t.txn_mgr = 0
     && (Rx_wal.Log_manager.appended_bytes t.log - t.ckpt_mark
         >= t.config.checkpoint_wal_bytes
        || Rx_wal.Log_manager.record_count t.log >= t.config.checkpoint_wal_records
@@ -719,94 +775,32 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
   (match !last_recovery with
   | Some r -> Rx_txn.Transaction.seed_txids txn_mgr r.Rx_wal.Recovery.max_txid
   | None -> ());
-  if fresh && replica then begin
-    (* a fresh replica starts truly empty: the catalog (page 1) and every
-       other page arrive through the leader's WAL stream; a local bootstrap
-       would stamp pages with home-grown LSNs that alias the leader's *)
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog = placeholder_catalog ();
-        dir = Some dir;
-        replica = true;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    apply_config t;
-    t
-  end
-  else if fresh then begin
-    (* bootstrap inside a committed transaction: the catalog heap's pages
-       must not look like loser updates (txid 0) to a later recovery *)
-    let catalog =
+  let catalog, entries =
+    if fresh && replica then
+      (* a fresh replica starts truly empty: the catalog (page 1) and every
+         other page arrive through the leader's WAL stream; a local
+         bootstrap would stamp pages with home-grown LSNs that alias the
+         leader's *)
+      (placeholder_catalog (), [])
+    else if fresh then
+      (* bootstrap inside a committed transaction: the catalog heap's pages
+         must not look like loser updates (txid 0) to a later recovery *)
       let tx = Rx_txn.Transaction.begin_txn txn_mgr in
       match Rx_txn.Transaction.run_as tx (fun () -> Catalog.create pool) with
       | c ->
           ignore (Rx_txn.Transaction.commit tx);
-          c
+          (c, [])
       | exception e ->
           ignore (Rx_txn.Transaction.abort tx);
           raise e
-    in
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog;
-        dir = Some dir;
-        replica = false;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    apply_config t;
-    t
-  end
-  else begin
-    (* the catalog heap is always the first structure created: its header
-       page is page 1. A replica reopened before its first applied batch
-       ever flushed may not have a page 1 yet — its catalog arrives from
-       the leader later, via [refresh_replica]. *)
-    let have_catalog =
-      (not replica) || Pager.page_count (Buffer_pool.pager pool) > 1
-    in
-    let catalog, entries =
+    else
+      (* the catalog heap is always the first structure created: its
+         header page is page 1. A replica reopened before its first applied
+         batch ever flushed may not have a page 1 yet — its catalog arrives
+         from the leader later, via [refresh_replica]. *)
+      let have_catalog =
+        (not replica) || Pager.page_count (Buffer_pool.pager pool) > 1
+      in
       match
         if have_catalog then
           let c = Catalog.attach pool ~header_page:1 in
@@ -820,41 +814,16 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
           (* throwaway in-memory catalog: the real one is unreadable and a
              degraded handle never saves, so nothing is lost *)
           (placeholder_catalog (), [])
-    in
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog;
-        dir = Some dir;
-        replica;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    attach_logical t ~degrade ~healthy:(fun () -> !degraded = None) entries;
-    t.degraded <- !degraded;
-    t.last_recovery <- !last_recovery;
-    apply_config t;
-    t
-  end
+  in
+  let t =
+    make_handle ~pool ~log ~txn_mgr ~catalog ~dir:(Some dir) ~replica
+      ~record_threshold ~metrics ~tracer ~config
+  in
+  attach_logical t ~degrade ~healthy:(fun () -> !degraded = None) entries;
+  t.degraded <- !degraded;
+  t.last_recovery <- !last_recovery;
+  apply_config t;
+  t
 
 let open_dir ?page_size ?record_threshold ?config dir =
   let t = open_dir_impl ~replica:false ?page_size ?record_threshold ?config dir in
@@ -1115,7 +1084,6 @@ let rollback t txn =
        store's in-memory bookkeeping *)
     ignore
       (Rx_txn.Transaction.abort ~undo:(fun () -> discard_staged txn) txn.tx);
-    Rx_obs.Metrics.(incr (counter t.metrics "txn.abort"));
     maybe_purge t
   end
 
@@ -1268,77 +1236,50 @@ let apply_pending t ts op =
       (* tolerate a concurrent immediate drop between staging and commit *)
       if has_index xc p_name then do_drop_index t xc p_name
 
-(* Commit runs in two phases. Phase 1, under the engine lock
-   [write_lock]: replay the staged statements, append the Commit record
-   and release locks — the only part that touches shared in-memory
-   state, so concurrent [Database.commit] calls are safe. Phase 2,
-   outside the lock: wait for the Commit record to reach stable storage
-   via the WAL's group commit — N committers in flight share ~1 fsync
-   instead of paying one each. Releasing locks before the durability
-   wait is sound because any later flush covers this record's LSN (no
-   one can observe a state the log cannot reproduce). Phase 1 ends with
-   the auto-checkpoint trigger; a checkpoint forces the log, so the
-   phase-2 wait then returns at once.
-
-   [commit_async] is phase 1 alone: it assumes the caller already holds
-   the engine lock (see [exclusively]) and returns the phase-2 await
-   thunk, so a multi-threaded host can serialize the apply under its own
-   critical section and still let concurrent committers share fsyncs. *)
-let commit_async t txn =
-  ensure_txn_open txn;
-  txn.txn_open <- false;
-  t.active_txns <- List.filter (fun x -> x != txn) t.active_txns;
-  let ops = List.rev txn.pending in
-  match
-    Rx_txn.Transaction.run_as txn.tx (fun () ->
-        let ts = t.commit_ts + 1 in
-        List.iter (apply_pending t ts) ops;
-        discard_staged txn;
-        t.commit_ts <- ts)
-  with
-  | () ->
-      let _, await = Rx_txn.Transaction.precommit txn.tx in
-      Rx_obs.Metrics.(incr (counter t.metrics "txn.commit"));
-      (* staged DDL became effective above; make it durable like
-         immediate DDL. Likewise a dictionary that grew while this
-         transaction's documents were parsed: names live only in the
-         catalog, so without a save here a crash — or a replica applying
-         this very commit — would hold documents whose qname ids nothing
-         can resolve. Interning is once-per-distinct-name over the
-         database's lifetime, so steady-state commits skip this. *)
-      if
-        List.exists (function P_drop_index _ -> true | _ -> false) ops
-        || Name_dict.size t.dict > t.dict_persisted
-      then save_catalog t;
-      maybe_purge t;
-      maybe_auto_checkpoint t;
-      await
-  | exception e ->
-      (* commit replay failed: physically roll back this transaction's
-         page updates; the durable state is consistent after reopen
-         (recovery treats it as a loser), but this in-memory handle may
-         be stale *)
-      ignore (Rx_txn.Transaction.abort txn.tx);
-      Rx_obs.Metrics.(incr (counter t.metrics "txn.abort"));
-      maybe_purge t;
-      raise e
-
-let exclusively t f = Mutex.protect t.write_lock f
-
-let commit t txn = (exclusively t (fun () -> commit_async t txn)) ()
-
-let with_txn t f =
-  let v, await =
-    exclusively t (fun () ->
-        let txn = begin_txn t in
-        match f txn with
-        | v -> (v, commit_async t txn)
-        | exception e ->
-            rollback t txn;
-            raise e)
-  in
-  await ();
-  v
+(* Commit, under the engine lock: replay the staged statements, append
+   the Commit record and release locks — the only part that touches
+   shared in-memory state, so concurrent [commit] calls are safe. The
+   durability wait runs after the lock is released (see [exclusively]):
+   via the WAL's group commit, N committers in flight share ~1 fsync.
+   The auto-checkpoint trigger runs under the lock; a checkpoint forces
+   the log, so the wait then returns at once. *)
+let commit t txn =
+  exclusively t (fun () ->
+      ensure_txn_open txn;
+      txn.txn_open <- false;
+      t.active_txns <- List.filter (fun x -> x != txn) t.active_txns;
+      let ops = List.rev txn.pending in
+      match
+        Rx_txn.Transaction.run_as txn.tx (fun () ->
+            let ts = t.commit_ts + 1 in
+            List.iter (apply_pending t ts) ops;
+            discard_staged txn;
+            t.commit_ts <- ts)
+      with
+      | () ->
+          await_durable t (snd (Rx_txn.Transaction.precommit txn.tx));
+          (* staged DDL became effective above; make it durable like
+             immediate DDL. Likewise a dictionary that grew while this
+             transaction's documents were parsed: names live only in the
+             catalog, so without a save here a crash — or a replica
+             applying this very commit — would hold documents whose qname
+             ids nothing can resolve. Interning is once-per-distinct-name
+             over the database's lifetime, so steady-state commits skip
+             this. *)
+          if
+            List.exists (function P_drop_index _ -> true | _ -> false) ops
+            || Name_dict.size t.dict > t.dict_persisted
+          then save_catalog t;
+          maybe_purge t;
+          maybe_auto_checkpoint t
+      | exception e ->
+          (* commit replay failed: physically roll back this transaction's
+             page updates; the durable state is consistent after reopen
+             (recovery treats it as a loser), but this in-memory handle may
+             be stale *)
+          ignore (Rx_txn.Transaction.abort txn.tx);
+          maybe_purge t;
+          raise e)
 
 (* --- online, generational index lifecycle --- *)
 
@@ -1714,8 +1655,7 @@ module Index = struct
           P_drop_index { p_table = table; p_column = column; p_name = name }
           :: txn.pending
     | None ->
-        (* immediate drop: self-locking, like [rollback] — callers must
-           not already hold the engine lock *)
+        (* immediate drop: takes the engine lock, like [rollback] *)
         exclusively t (fun () ->
             do_drop_index t xc name;
             save_catalog t)
@@ -2092,34 +2032,37 @@ let staged_image s = Option.get (Rx_txn.Mvcc_store.staged_internal s)
 let insert ?txn t ~table ?(values = []) ?(xml = []) () =
   ensure_writable t;
   let tbl = table_exn t table in
-  let docid = tbl.next_docid in
-  tbl.next_docid <- docid + 1;
-  let p_row = build_row tbl ~values ~xml docid in
-  let stmt p_xml = P_insert { p_table = table; p_docid = docid; p_row; p_xml } in
-  let sources =
+  (* validate the whole statement before anything is written, so a bad
+     document or row value is refused with nothing to undo *)
+  let parsed =
     List.map
       (fun (column, src) ->
         let xc = xml_column_exn tbl column in
-        (column, xc, fun () -> parse_column_doc t xc src))
+        (column, xc, parse_column_doc t xc src))
       xml
   in
+  let docid = tbl.next_docid in
+  let p_row = build_row tbl ~values ~xml docid in
+  Base_table.check_row tbl.base p_row;
+  tbl.next_docid <- docid + 1;
+  let stmt p_xml = P_insert { p_table = table; p_docid = docid; p_row; p_xml } in
   dml t txn ~lock:(doc_resource tbl docid)
-    (stmt (List.map (fun (column, _, parse) -> (column, parse)) sources))
+    (stmt (List.map (fun (column, _, tokens) -> (column, fun () -> tokens)) parsed))
     ~stage:(fun txn ->
-      (* parse now into staged images the transaction reads its own
-         insert from; commit reads the tokens back from there *)
+      (* staged images the transaction reads its own insert from; commit
+         reads the tokens back from there *)
       let staged =
         List.map
-          (fun (column, xc, parse) ->
+          (fun (column, xc, tokens) ->
             let m = ensure_mvcc t xc in
-            let s = Rx_txn.Mvcc_store.stage_write m ~docid (parse ()) in
+            let s = Rx_txn.Mvcc_store.stage_write m ~docid tokens in
             Hashtbl.replace txn.locals (table, column, docid)
               (L_staged { m; s; replay = false });
             ( column,
               fun () ->
                 Doc_store.tokens (Rx_txn.Mvcc_store.store m) ~docid:(staged_image s)
             ))
-          sources
+          parsed
       in
       txn.pending <- stmt staged :: txn.pending);
   docid

@@ -305,7 +305,23 @@ val restore :
     staged; readers run against the begin-time snapshot without locking.
     Conflicting writes by a transaction that committed after this
     transaction began are refused (first-updater-wins,
-    [Failure "... write-write conflict ..."]). *)
+    [Failure "... write-write conflict ..."]).
+
+    Every write is a transaction: an autocommit statement (DML, DDL, bulk
+    load without [?txn]) runs as its own short transaction and applies in
+    place; an explicit one stages until {!commit}. There is one commit
+    path for both: the Commit record is appended and locks are released
+    under the engine lock ({!exclusively}), and the durability wait runs
+    once the lock is released. Inside {!exclusively} the wait is deferred
+    to the lock's release; outside it (a single-threaded embedded caller)
+    the statement waits before returning. A transaction that logged no
+    page update — a read-only one — appends no Commit or Abort record and
+    waits on no fsync.
+
+    Counters: [txn.begin] counts explicit {!begin_txn} calls; [txn.commit]
+    and [txn.abort] count the outcome of every transaction, explicit and
+    autocommit alike (the engine's own catalog-save transactions
+    included). *)
 
 val begin_txn : t -> txn
 (** Starts a transaction whose reads see the database as of now. *)
@@ -318,40 +334,31 @@ val commit : t -> txn -> unit
     commit: concurrent [commit] calls share one fsync (a leader flushes for
     the group, optionally holding the window open for
     [config.commit_window_us]), so N committers cost ~1 fsync instead of N.
-    [commit] is the {e only} operation on a handle that may be called bare
-    from multiple threads concurrently; everything else must be externally
-    serialized — {!exclusively} is that serialization, and the rxd server
-    wraps every session request in it.
+    [commit] takes the engine lock itself, so it may be called bare from
+    several threads, or inside {!exclusively} — then its wait joins the
+    critical section's (see {!exclusively_async}).
     @raise Invalid_argument if the transaction is not open. *)
 
 val exclusively : t -> (unit -> 'a) -> 'a
-(** Runs [f] holding the handle's engine lock — the same lock {!commit}
-    takes for its apply phase. A multi-threaded host (one thread per
-    client session, say) that wraps every handle operation in
+(** Runs [f] holding the handle's engine lock, then waits for the
+    durability of every commit made inside it. A multi-threaded host (one
+    thread per client session, say) that wraps every handle operation in
     [exclusively] may issue them from any thread: sessions serialize
-    against each other {e and} against concurrent commits. Not reentrant:
-    [f] must not call [exclusively], {!commit} or {!with_txn} on the same
-    handle (use {!commit_async} inside the critical section instead). *)
+    against each other {e and} against concurrent commits. Reentrant on
+    the thread that holds it: a nested call (or a {!commit}) runs inline
+    and leaves its waits to the outermost call. Equivalent to
+    {!exclusively_async} followed by the returned wait. *)
 
-val commit_async : t -> txn -> unit -> unit
-(** The apply phase of {!commit} — staged statements replayed, Commit
-    record appended, locks released — returning the durability wait as a
-    thunk instead of performing it. Must be called under {!exclusively}
-    (or on the only thread using the handle); call the thunk {e after}
-    leaving the critical section, from any thread, so concurrent
-    committers overlap their waits and share group-commit fsyncs.
-    [commit t txn] is [exclusively t (fun () -> commit_async t txn) ()].
-    @raise Invalid_argument if the transaction is not open. *)
-
-val with_txn : t -> (txn -> 'a) -> 'a
-(** [with_txn t f] begins a transaction, runs [f], commits on normal
-    return and rolls back (then re-raises) if [f] raises. Thread-safe
-    like {!commit}: the begin/stage/apply runs under the engine lock with
-    the commit's durability wait outside it, so concurrent [with_txn]
-    callers — the rxd server wraps every auto-commit client request in
-    one — serialize their statements but share commit fsyncs. [f] runs
-    inside the critical section: keep it engine work only, and never call
-    {!exclusively}, {!commit} or a nested [with_txn] from it. *)
+val exclusively_async : t -> (unit -> 'a) -> 'a * (unit -> unit)
+(** [exclusively_async t f] runs [f] under the engine lock like
+    {!exclusively} but returns the durability wait of the commits made
+    inside it (autocommit statements, {!commit}, the engine's own catalog
+    saves) as a thunk instead of performing it. Call the thunk after the
+    call returns, from any thread, before reporting those commits as
+    durable: concurrent committers overlap their waits and share
+    group-commit fsyncs. A nested call returns a no-op wait (the outermost
+    call owns it). If [f] raises, the waits run before the exception is
+    re-raised. *)
 
 val rollback : t -> txn -> unit
 (** Discards every staged statement — stats, value indexes and query

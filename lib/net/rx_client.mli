@@ -98,8 +98,8 @@ val insert :
   int
 (** Inserts a row ([values] are varchar columns, [xml] are XML column
     documents); returns its DocID. Joins the session transaction when one
-    is open, otherwise the server wraps it in its own transaction
-    ({!Systemrx.Database.with_txn}). *)
+    is open, otherwise the server runs it as an autocommit statement,
+    exactly as an embedded {!Systemrx.Database.insert} without [?txn]. *)
 
 val insert_many : t -> table:string -> column:string -> string list -> int list
 (** Bulk load, as {!Systemrx.Database.insert_many}: one server-side

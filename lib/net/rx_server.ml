@@ -156,22 +156,13 @@ let span t op f =
     ~attrs:[ ("op", op) ]
     f
 
-let engine t op f = Database.exclusively t.db (fun () -> span t op f)
-
-(* begin + body + commit phase 1 under the engine lock, durability
-   returned as a thunk — [Database.with_txn] with the fsync wait split
-   out, so a worker can batch several auto-commit requests' waits into
-   one group-commit window *)
-let with_txn_async t f =
-  Database.exclusively t.db (fun () ->
-      let txn = Database.begin_txn t.db in
-      match f txn with
-      | v ->
-          let await = Database.commit_async t.db txn in
-          (v, await)
-      | exception e ->
-          (try Database.rollback t.db txn with _ -> ());
-          raise e)
+(* one request's engine work under the engine lock; the durability wait
+   of whatever it committed goes onto [waits], which the worker runs once
+   for its whole batch *)
+let engine t waits op f =
+  let v, wait = Database.exclusively_async t.db (fun () -> span t op f) in
+  waits := wait :: !waits;
+  v
 
 (* --- request dispatch --- *)
 
@@ -257,44 +248,42 @@ let drop_cursor t sess id cur =
   Atomic.decr t.open_cursors;
   set_cursor_gauge t
 
-(* executes one request; returns the OK payload plus, for commits, the
-   durability wait to perform before the response may be flushed *)
-let dispatch t sess :
-    Rx_wire.request -> Rx_wire.ok * (unit -> unit) option = function
+(* executes one request and returns its OK payload; the durability wait
+   of anything it committed goes onto [waits], to run before the response
+   may be flushed *)
+let dispatch t sess waits : Rx_wire.request -> Rx_wire.ok =
+  let engine op f = engine t waits op f in
+  function
   | Rx_wire.Hello _ -> invalid_arg "session already established"
   | Rx_wire.Query { table; column; xpath; ns_env } ->
-      ( engine t "query" (fun () ->
-            matches_of_result
-              (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table ~column
-                 ~xpath)),
-        None )
+      engine "query" (fun () ->
+          matches_of_result
+            (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table ~column
+               ~xpath))
   | Rx_wire.Prepare { table; column; xpath; ns_env } ->
-      ( engine t "prepare" (fun () ->
-            let p = Database.prepare ~ns_env t.db ~table ~column ~xpath in
-            sess.next_stmt <- sess.next_stmt + 1;
-            Hashtbl.replace sess.prepared sess.next_stmt p;
-            Rx_wire.R_prepared
-              {
-                stmt = sess.next_stmt;
-                plan = (Database.Prepared.plan p).Database.description;
-              }),
-        None )
+      engine "prepare" (fun () ->
+          let p = Database.prepare ~ns_env t.db ~table ~column ~xpath in
+          sess.next_stmt <- sess.next_stmt + 1;
+          Hashtbl.replace sess.prepared sess.next_stmt p;
+          Rx_wire.R_prepared
+            {
+              stmt = sess.next_stmt;
+              plan = (Database.Prepared.plan p).Database.description;
+            })
   | Rx_wire.Run_prepared { stmt } -> (
       match Hashtbl.find_opt sess.prepared stmt with
       | None -> invalid_arg (Printf.sprintf "unknown prepared statement %d" stmt)
       | Some p ->
-          ( engine t "run_prepared" (fun () ->
-                matches_of_result
-                  (Database.run_prepared ?txn:(session_txn sess) t.db p)),
-            None ))
+          engine "run_prepared" (fun () ->
+              matches_of_result
+                (Database.run_prepared ?txn:(session_txn sess) t.db p)))
   | Rx_wire.Begin ->
       if session_txn sess <> None then
         invalid_arg "session already has an open transaction";
-      ( engine t "begin" (fun () ->
-            let txn = Database.begin_txn t.db in
-            sess.txn <- Some txn;
-            Rx_wire.R_txn { txid = Database.txn_id txn }),
-        None )
+      engine "begin" (fun () ->
+          let txn = Database.begin_txn t.db in
+          sess.txn <- Some txn;
+          Rx_wire.R_txn { txid = Database.txn_id txn })
   | Rx_wire.Commit { txid } -> (
       match session_txn sess with
       | None -> invalid_arg "no open transaction"
@@ -304,17 +293,12 @@ let dispatch t sess :
           if txid <> 0 && Database.txn_id txn <> txid then
             invalid_arg
               (Printf.sprintf "transaction %d is not this session's" txid);
-          (* apply under the engine lock, await durability before the
-             response is flushed: concurrent sessions' commits — and a
-             pipelined batch of this session's own commits — share
-             group-commit fsyncs. The session keeps its transaction until
-             the engine accepts the commit, so a refusal stays open and
-             retryable, not orphaned with its locks held *)
-          let await =
-            engine t "commit" (fun () -> Database.commit_async t.db txn)
-          in
+          (* the session keeps its transaction until the engine accepts
+             the commit, so a refusal stays open and retryable, not
+             orphaned with its locks held *)
+          engine "commit" (fun () -> Database.commit t.db txn);
           sess.txn <- None;
-          (Rx_wire.R_unit, Some await))
+          Rx_wire.R_unit)
   | Rx_wire.Rollback { txid } -> (
       match session_txn sess with
       | None -> invalid_arg "no open transaction"
@@ -324,114 +308,94 @@ let dispatch t sess :
               (Printf.sprintf "transaction %d is not this session's" txid);
           (* as with commit: only forget the transaction once the engine
              actually rolled it back *)
-          let r =
-            engine t "rollback" (fun () ->
-                Database.rollback t.db txn;
-                Rx_wire.R_unit)
-          in
+          engine "rollback" (fun () -> Database.rollback t.db txn);
           sess.txn <- None;
-          (r, None))
+          Rx_wire.R_unit)
   | Rx_wire.Insert { table; values; xml } ->
       let values =
         List.map (fun (k, v) -> (k, Rx_relational.Value.Varchar v)) values
       in
-      let do_insert txn = Database.insert ~txn t.db ~table ~values ~xml () in
-      (match session_txn sess with
-      | Some txn ->
-          (Rx_wire.R_docid { docid = engine t "insert" (fun () -> do_insert txn) }, None)
-      | None ->
-          (* the per-request transaction wrapper, durability deferred so a
-             pipelined run of auto-commit inserts shares fsyncs *)
-          let docid, await =
-            with_txn_async t (fun txn -> span t "insert" (fun () -> do_insert txn))
-          in
-          (Rx_wire.R_docid { docid }, Some await))
+      (* staged in the session's transaction, or an autocommit statement
+         applied in place exactly as an embedded call would *)
+      Rx_wire.R_docid
+        {
+          docid =
+            engine "insert" (fun () ->
+                Database.insert ?txn:(session_txn sess) t.db ~table ~values ~xml
+                  ());
+        }
   | Rx_wire.Insert_many { table; column; docs } ->
       if session_txn sess <> None then
         invalid_arg "bulk load cannot run inside an explicit transaction";
-      ( engine t "insert_many" (fun () ->
-            Rx_wire.R_docids
-              { docids = Database.insert_many t.db ~table ~column docs }),
-        None )
+      engine "insert_many" (fun () ->
+          Rx_wire.R_docids
+            { docids = Database.insert_many t.db ~table ~column docs })
   | Rx_wire.Delete { table; docid } ->
-      let do_delete txn = Database.delete ~txn t.db ~table ~docid in
-      (match session_txn sess with
-      | Some txn ->
-          engine t "delete" (fun () -> do_delete txn);
-          (Rx_wire.R_unit, None)
-      | None ->
-          let (), await =
-            with_txn_async t (fun txn -> span t "delete" (fun () -> do_delete txn))
-          in
-          (Rx_wire.R_unit, Some await))
+      engine "delete" (fun () ->
+          Database.delete ?txn:(session_txn sess) t.db ~table ~docid);
+      Rx_wire.R_unit
   | Rx_wire.Get { table; column; docid } ->
-      ( engine t "get" (fun () ->
-            Rx_wire.R_doc
-              {
-                doc =
-                  Database.document ?txn:(session_txn sess) t.db ~table ~column
-                    ~docid;
-              }),
-        None )
+      engine "get" (fun () ->
+          Rx_wire.R_doc
+            {
+              doc =
+                Database.document ?txn:(session_txn sess) t.db ~table ~column
+                  ~docid;
+            })
   | Rx_wire.Stats ->
-      ( engine t "stats" (fun () ->
-            Rx_wire.R_stats
-              { json = Rx_obs.Json.to_string (Stats_report.json t.db) }),
-        None )
+      engine "stats" (fun () ->
+          Rx_wire.R_stats
+            { json = Rx_obs.Json.to_string (Stats_report.json t.db) })
   | Rx_wire.Repl_state ->
-      ( engine t "repl_state" (fun () ->
-            let st = Database.repl_state t.db in
-            Rx_wire.R_repl_state
-              {
-                base_lsn = st.Database.r_base_lsn;
-                durable_lsn = st.Database.r_durable_lsn;
-                generations = st.Database.r_generations;
-                page_size = st.Database.r_page_size;
-              }),
-        None )
+      engine "repl_state" (fun () ->
+          let st = Database.repl_state t.db in
+          Rx_wire.R_repl_state
+            {
+              base_lsn = st.Database.r_base_lsn;
+              durable_lsn = st.Database.r_durable_lsn;
+              generations = st.Database.r_generations;
+              page_size = st.Database.r_page_size;
+            })
   | Rx_wire.Repl_fetch { from_lsn; max_bytes } ->
-      ( engine t "repl_fetch" (fun () ->
-            (* cap at what one response frame can carry (minus envelope) *)
-            let max_bytes = min max_bytes (Rx_wire.max_frame - 64) in
-            let start_lsn, frames, durable_lsn =
-              Database.repl_fetch t.db ~from_lsn ~max_bytes
-            in
-            Rx_wire.R_repl_batch { start_lsn; durable_lsn; frames }),
-        None )
+      engine "repl_fetch" (fun () ->
+          (* cap at what one response frame can carry (minus envelope) *)
+          let max_bytes = min max_bytes (Rx_wire.max_frame - 64) in
+          let start_lsn, frames, durable_lsn =
+            Database.repl_fetch t.db ~from_lsn ~max_bytes
+          in
+          Rx_wire.R_repl_batch { start_lsn; durable_lsn; frames })
   | Rx_wire.Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
-      ( engine t "open_cursor" (fun () ->
-            let cur =
-              Database.open_cursor ~ns_env ?txn:(session_txn sess) t.db ~table
-                ~column ~xpath
-            in
-            sess.next_cursor <- sess.next_cursor + 1;
-            Hashtbl.replace sess.cursors sess.next_cursor
-              (cur, clamp_chunk chunk_bytes);
-            Atomic.incr t.open_cursors;
-            set_cursor_gauge t;
-            Rx_wire.R_cursor
-              {
-                cursor = sess.next_cursor;
-                plan = (Database.cursor_plan cur).Database.description;
-              }),
-        None )
+      engine "open_cursor" (fun () ->
+          let cur =
+            Database.open_cursor ~ns_env ?txn:(session_txn sess) t.db ~table
+              ~column ~xpath
+          in
+          sess.next_cursor <- sess.next_cursor + 1;
+          Hashtbl.replace sess.cursors sess.next_cursor
+            (cur, clamp_chunk chunk_bytes);
+          Atomic.incr t.open_cursors;
+          set_cursor_gauge t;
+          Rx_wire.R_cursor
+            {
+              cursor = sess.next_cursor;
+              plan = (Database.cursor_plan cur).Database.description;
+            })
   | Rx_wire.Fetch { cursor } -> (
       match Hashtbl.find_opt sess.cursors cursor with
       | None -> invalid_arg (Printf.sprintf "unknown cursor %d" cursor)
       | Some (cur, chunk) ->
-          ( engine t "fetch" (fun () ->
-                match Database.cursor_next ~max_bytes:chunk cur with
-                | [] ->
-                    drop_cursor t sess cursor cur;
-                    Rx_wire.R_rows_end
-                | rows -> Rx_wire.R_rows_chunk { matches = rows }),
-            None ))
+          engine "fetch" (fun () ->
+              match Database.cursor_next ~max_bytes:chunk cur with
+              | [] ->
+                  drop_cursor t sess cursor cur;
+                  Rx_wire.R_rows_end
+              | rows -> Rx_wire.R_rows_chunk { matches = rows }))
   | Rx_wire.Close_cursor { cursor } -> (
       match Hashtbl.find_opt sess.cursors cursor with
       | None -> invalid_arg (Printf.sprintf "unknown cursor %d" cursor)
       | Some (cur, _) ->
           drop_cursor t sess cursor cur;
-          (Rx_wire.R_unit, None))
+          Rx_wire.R_unit)
   | Rx_wire.Index_build { table; column; name; path; key_type } ->
       let key_type =
         match Rx_xindex.Index_def.key_type_of_string key_type with
@@ -447,41 +411,36 @@ let dispatch t sess :
         Database.Index.await
           (Database.Index.build t.db ~table ~column ~name ~path ~key_type)
       in
-      (Rx_wire.R_index_info { info = wire_index_info info }, None)
+      Rx_wire.R_index_info { info = wire_index_info info }
   | Rx_wire.Index_status { table; column; name } ->
-      ( engine t "index_status" (fun () ->
-            Rx_wire.R_index_info
-              {
-                info =
-                  wire_index_info
-                    (Database.Index.status t.db ~table ~column ~name);
-              }),
-        None )
+      engine "index_status" (fun () ->
+          Rx_wire.R_index_info
+            {
+              info =
+                wire_index_info (Database.Index.status t.db ~table ~column ~name);
+            })
   | Rx_wire.Index_rollback { table; column; name } ->
-      (* self-locking (and hence not under [engine], whose mutex is not
-         reentrant) *)
-      ( Rx_wire.R_index_info
-          {
-            info =
-              wire_index_info (Database.Index.rollback t.db ~table ~column ~name);
-          },
-        None )
+      engine "index_rollback" (fun () ->
+          Rx_wire.R_index_info
+            {
+              info =
+                wire_index_info
+                  (Database.Index.rollback t.db ~table ~column ~name);
+            })
   | Rx_wire.Index_drop { table; column; name } ->
-      (* immediate drops self-lock; staged drops only touch the session's
-         own transaction *)
-      Database.Index.drop ?txn:(session_txn sess) t.db ~table ~column ~name;
-      (Rx_wire.R_unit, None)
+      (* an immediate drop, or one staged in the session's transaction *)
+      engine "index_drop" (fun () ->
+          Database.Index.drop ?txn:(session_txn sess) t.db ~table ~column ~name);
+      Rx_wire.R_unit
   | Rx_wire.Index_list { table; column } ->
-      ( engine t "index_list" (fun () ->
-            Rx_wire.R_index_list
-              {
-                infos =
-                  List.map wire_index_info
-                    (Database.Index.list t.db ~table ~column);
-              }),
-        None )
-  | Rx_wire.Shutdown -> (Rx_wire.R_unit, None)
-  | Rx_wire.Bye -> (Rx_wire.R_unit, None)
+      engine "index_list" (fun () ->
+          Rx_wire.R_index_list
+            {
+              infos =
+                List.map wire_index_info (Database.Index.list t.db ~table ~column);
+            })
+  | Rx_wire.Shutdown -> Rx_wire.R_unit
+  | Rx_wire.Bye -> Rx_wire.R_unit
 
 (* --- response framing ---
 
@@ -543,7 +502,7 @@ let observe_latency t op t0 =
    durable *)
 let serve_batch t conn ~acc ~enc =
   Buffer.clear acc;
-  let awaits = ref [] in
+  let waits = ref [] in
   let shutdown_after = ref false in
   let served = ref 0 in
   let continue_ = ref true in
@@ -567,10 +526,8 @@ let serve_batch t conn ~acc ~enc =
         let op = op_name req in
         let t0 = Unix.gettimeofday () in
         let resp =
-          match dispatch t conn req with
-          | ok, await ->
-              (match await with Some a -> awaits := a :: !awaits | None -> ());
-              Rx_wire.Ok ok
+          match dispatch t conn waits req with
+          | ok -> Rx_wire.Ok ok
           | exception e ->
               Rx_obs.Metrics.incr t.m_errors;
               Rx_wire.Err
@@ -598,7 +555,7 @@ let serve_batch t conn ~acc ~enc =
   (* durability point for every commit in the batch: the first wait's
      fsync covers the later commits' records, so they return without
      their own (group commit absorbs the batch) *)
-  List.iter (fun a -> a ()) (List.rev !awaits);
+  List.iter (fun wait -> wait ()) (List.rev !waits);
   Mutex.protect t.lock (fun () ->
       Nb.add_buffer conn.out acc;
       conn.last_activity <- Unix.gettimeofday ();

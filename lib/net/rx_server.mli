@@ -13,13 +13,13 @@
     drains a connection's queue as one batch, which keeps responses in
     request order (one worker per connection at a time) and lets the
     batch's commits share group-commit fsyncs: every request executes
-    under {!Systemrx.Database.exclusively} (the engine lock), but
-    commits apply with {!Systemrx.Database.commit_async} and the batch
-    performs the collected durability waits together, outside the lock,
-    before any of the batch's responses are flushed. Requests that
-    arrive without an open session transaction and need one
-    ([Insert]/[Delete]) get the same split per-request transaction
-    wrapper, so pipelined auto-commit writes batch their fsyncs too.
+    under {!Systemrx.Database.exclusively_async} (the engine lock), which
+    hands back the durability wait of whatever the request committed; the
+    batch performs the collected waits together, outside the lock, before
+    any of the batch's responses are flushed. An [Insert]/[Delete] sent
+    without an open session transaction is an autocommit statement,
+    applied in place exactly as the embedded call, so pipelined
+    auto-commit writes batch their fsyncs too.
 
     Results larger than one frame stream through server-side cursors
     ([Open_cursor]/[Fetch]/[Close_cursor]): the session holds the

@@ -24,6 +24,8 @@ type gauge
 type histogram
 
 val create : unit -> t
+(** A fresh, empty registry (one per database instance). *)
+
 val default : t
 (** The process-global registry used when no [?metrics] is supplied. *)
 
@@ -44,7 +46,10 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> int -> unit
+(** Overwrites the gauge's current value. *)
+
 val get : gauge -> int
+(** The gauge's last {!set} value (0 before any). *)
 
 val observe : histogram -> int -> unit
 (** Records a non-negative sample into its log2 bucket: bucket 0 holds 0,
@@ -52,7 +57,10 @@ val observe : histogram -> int -> unit
     unbounded. *)
 
 val histogram_count : histogram -> int
+(** Number of samples observed. *)
+
 val histogram_sum : histogram -> int
+(** Sum of every observed sample (with {!histogram_count}, the mean). *)
 
 val histogram_buckets : histogram -> (int * int) array
 (** [(upper_bound_inclusive, count)] per non-empty-or-preceding bucket; the

@@ -21,12 +21,18 @@ val create : ?capacity:int -> unit -> t
 val default : t
 
 val with_span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [with_span t ~attrs name f] runs [f] inside a span named [name] and
+    returns its result; the span is recorded when [f] returns or raises
+    (the exception is re-raised). *)
 
 val open_spans : t -> int
 (** Number of currently open (entered, not yet exited) spans. *)
 
 val started : t -> int
+(** Spans ever opened. *)
+
 val finished_count : t -> int
+(** Spans ever closed, including those since dropped from the ring. *)
 
 val finished : t -> span list
 (** Retained finished spans, most recent first. *)

@@ -19,6 +19,11 @@ val docid_index_meta : t -> int
 val columns : t -> (string * Value.col_type) array
 val column_index : t -> string -> int option
 
+val check_row : t -> Value.t array -> unit
+(** The validation {!insert} starts with, on its own: lets a caller reject
+    a row before writing anything else that belongs with it.
+    @raise Invalid_argument on arity or type mismatch. *)
+
 val insert : t -> docid:int -> Value.t array -> Rx_storage.Rid.t
 (** @raise Invalid_argument on arity or type mismatch. *)
 

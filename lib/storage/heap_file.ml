@@ -10,12 +10,16 @@ open Rx_util
    X lock / database write lock. Reader domains only probe [free_map] with
    [Hashtbl.mem] (prefetch filtering), and the lock manager keeps S-locked
    scans from overlapping an X-locked writer on the same table, so the
-   table is never resized under a reader. *)
+   table is never resized under a reader.
+
+   The chain itself (first/last page, links) lives only in pages, so a
+   transaction's physical undo restores it. [free_map] is a cache that
+   undo does not see: it may name a page whose allocation was rolled back,
+   which [page_for] drops on sight. *)
 type t = {
   pool : Buffer_pool.t;
   header : int;
   free_map : (int, int) Hashtbl.t; (* data page -> cached free bytes *)
-  mutable last_page : int;
   mutable readahead : int; (* max pages per readahead batch; <= 1 disables *)
 }
 
@@ -77,7 +81,6 @@ let create pool =
       pool;
       header;
       free_map = Hashtbl.create 64;
-      last_page = first;
       readahead = default_readahead;
     }
   in
@@ -86,16 +89,12 @@ let create pool =
   t
 
 let attach pool ~header_page =
-  let first, last =
-    Buffer_pool.with_page pool header_page (fun page ->
-        (hdr_first page, hdr_last page))
-  in
+  let first = Buffer_pool.with_page pool header_page hdr_first in
   let t =
     {
       pool;
       header = header_page;
       free_map = Hashtbl.create 64;
-      last_page = last;
       readahead = default_readahead;
     }
   in
@@ -129,17 +128,16 @@ let overflow_pages t = Buffer_pool.with_page t.pool t.header hdr_ovf
 (* Append a fresh data page to the chain and register it in the free map. *)
 let extend_chain t =
   let fresh = new_data_page t.pool in
-  Buffer_pool.update t.pool t.last_page (fun page ->
-      Slotted_page.set_next_page page fresh);
+  let last = Buffer_pool.with_page t.pool t.header hdr_last in
+  Buffer_pool.update t.pool last (fun page -> Slotted_page.set_next_page page fresh);
   Buffer_pool.update t.pool t.header (fun page -> hdr_set_last page fresh);
   Hashtbl.replace t.free_map fresh
     (Buffer_pool.with_page t.pool fresh Slotted_page.free_space);
-  t.last_page <- fresh;
   fresh
 
 (* Choose a data page with at least [need] free bytes; extend the chain if
    none qualifies. *)
-let page_for t need =
+let rec page_for t need =
   let found = ref None in
   (try
      Hashtbl.iter
@@ -150,7 +148,13 @@ let page_for t need =
          end)
        t.free_map
    with Exit -> ());
-  match !found with Some p -> p | None -> extend_chain t
+  match !found with
+  | Some p when Buffer_pool.with_page t.pool p Page.get_kind = Page.Heap -> p
+  | Some p ->
+      (* its allocation was rolled back: no longer part of the chain *)
+      Hashtbl.remove t.free_map p;
+      page_for t need
+  | None -> extend_chain t
 
 let overflow_chunk_capacity t = Buffer_pool.page_size t.pool - 22
 

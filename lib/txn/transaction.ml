@@ -5,11 +5,20 @@ type manager = {
   log : Rx_wal.Log_manager.t option;
   pool : Rx_storage.Buffer_pool.t option;
   mutable next_txid : int;
-  mutable current : int; (* txid attributed to page updates *)
+  mutable current : t option; (* attributed page updates; None = txid 0 *)
   mutable active : int;
+  c_commit : Rx_obs.Metrics.counter;
+  c_abort : Rx_obs.Metrics.counter;
 }
 
-type t = { mgr : manager; id : int; mutable state : state }
+and t = {
+  mgr : manager;
+  id : int;
+  mutable state : state;
+  (* LSNs of this transaction's Update records, newest first: undo reads
+     exactly these frames, and an empty list means nothing to log *)
+  mutable updates : int64 list;
+}
 
 let create_manager ?log ?pool () =
   (* lock counters land in the pool's registry so the whole database
@@ -19,20 +28,35 @@ let create_manager ?log ?pool () =
     | Some pool -> Rx_storage.Buffer_pool.metrics pool
     | None -> Rx_obs.Metrics.default
   in
-  { locks = Lock_manager.create ~metrics (); log; pool; next_txid = 0; current = 0; active = 0 }
+  {
+    locks = Lock_manager.create ~metrics ();
+    log;
+    pool;
+    next_txid = 0;
+    current = None;
+    active = 0;
+    c_commit = Rx_obs.Metrics.counter metrics "txn.commit";
+    c_abort = Rx_obs.Metrics.counter metrics "txn.abort";
+  }
 
 let lock_manager mgr = mgr.locks
 
 let install_journal mgr =
   match (mgr.log, mgr.pool) with
   | Some log, Some pool ->
-      Rx_wal.Journal.install pool log ~current_txid:(fun () -> mgr.current)
+      Rx_wal.Journal.install pool log
+        ~current_txid:(fun () ->
+          match mgr.current with Some t -> t.id | None -> 0)
+        ~on_update:(fun lsn ->
+          match mgr.current with
+          | Some t -> t.updates <- lsn :: t.updates
+          | None -> ())
   | _ -> invalid_arg "Transaction.install_journal: manager has no log or pool"
 
 let begin_txn mgr =
   mgr.next_txid <- mgr.next_txid + 1;
   mgr.active <- mgr.active + 1;
-  { mgr; id = mgr.next_txid; state = Active }
+  { mgr; id = mgr.next_txid; state = Active; updates = [] }
 
 let seed_txids mgr txid = if txid > mgr.next_txid then mgr.next_txid <- txid
 
@@ -41,7 +65,7 @@ let is_active t = t.state = Active
 
 let run_as t f =
   let saved = t.mgr.current in
-  t.mgr.current <- t.id;
+  t.mgr.current <- Some t;
   Fun.protect ~finally:(fun () -> t.mgr.current <- saved) f
 
 let ensure_active t =
@@ -82,17 +106,21 @@ let finish t =
 
 let precommit t =
   ensure_active t;
+  (* a transaction that logged no update has nothing to make durable: no
+     Commit record, no wait *)
   let durability =
     match t.mgr.log with
-    | Some log ->
+    | Some log when t.updates <> [] ->
         let lsn =
           Rx_wal.Log_manager.append log
             (Rx_wal.Log_record.Commit { txid = t.id })
         in
         Some (log, lsn)
-    | None -> None
+    | _ -> None
   in
   t.state <- Committed;
+  t.updates <- [];
+  Rx_obs.Metrics.incr t.mgr.c_commit;
   let unlocked = finish t in
   (* the wait hint is taken *after* [finish] decremented us: a window is
      only worth holding open when other committers may still arrive *)
@@ -112,25 +140,27 @@ let commit t =
 let abort ?undo t =
   ensure_active t;
   (match undo with
-  | Some compensate ->
+  | Some compensate -> (
       (* logical rollback: run compensating actions (attributed to this
          transaction in the WAL) instead of restoring page images — used
          when physical rollback would desync store-level in-memory state *)
       run_as t compensate;
-      (match t.mgr.log with
-      | Some log ->
+      match t.mgr.log with
+      | Some log when t.updates <> [] ->
           ignore
             (Rx_wal.Log_manager.append log (Rx_wal.Log_record.Abort { txid = t.id }));
           Rx_wal.Log_manager.flush log
-      | None -> ())
+      | _ -> ())
   | None -> (
       match (t.mgr.log, t.mgr.pool) with
-      | Some log, Some pool ->
-          ignore (Rx_wal.Recovery.rollback log pool ~txid:t.id);
+      | Some log, Some pool when t.updates <> [] ->
+          ignore (Rx_wal.Recovery.rollback log pool ~txid:t.id ~lsns:t.updates);
           ignore
             (Rx_wal.Log_manager.append log (Rx_wal.Log_record.Abort { txid = t.id }))
       | _ -> ()));
   t.state <- Aborted;
+  t.updates <- [];
+  Rx_obs.Metrics.incr t.mgr.c_abort;
   finish t
 
 let active_count mgr = mgr.active

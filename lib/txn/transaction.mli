@@ -19,7 +19,8 @@ val lock_manager : manager -> Lock_manager.t
 
 val install_journal : manager -> unit
 (** Wires the buffer pool's journal to the log, tagging updates with the
-    transaction currently executing under {!run_as}. *)
+    transaction currently executing under {!run_as}; each transaction
+    keeps the LSNs of its own updates for its undo. *)
 
 val begin_txn : manager -> t
 (** Starts a transaction with a fresh, monotonically increasing txid. *)
@@ -57,12 +58,14 @@ val lock_detect :
 val commit : t -> int list
 (** Forces the log (via group commit), releases locks; returns transactions
     whose queued lock requests were granted by the release. Equivalent to
-    {!precommit} followed immediately by its durability wait. *)
+    {!precommit} followed immediately by its durability wait. Counted in
+    [txn.commit]. *)
 
 val precommit : t -> int list * (unit -> unit)
 (** First half of {!commit}: appends the Commit record, marks the
     transaction committed and releases its locks, but does {e not} wait
-    for durability. Returns the newly grantable transactions plus an
+    for durability. A transaction that logged no update appends nothing
+    and its [await] returns at once. Returns the newly grantable transactions plus an
     [await] thunk that blocks until the Commit record is on stable storage
     (one {!Rx_wal.Log_manager.group_commit}, shared with concurrent
     committers). Callers must invoke [await] before reporting the commit
@@ -77,6 +80,9 @@ val abort : ?undo:(unit -> unit) -> t -> int list
     bookkeeping would desync under physical page rollback — and only an
     Abort record is logged. Either way a crash before the Abort record makes
     recovery undo the transaction physically, which nets to the same
-    state. *)
+    state. Physical undo decodes only the transaction's own log frames
+    ({!Rx_wal.Recovery.rollback}); a transaction that logged nothing
+    (compensations included) appends no Abort record. Counted in
+    [txn.abort]. *)
 
 val active_count : manager -> int

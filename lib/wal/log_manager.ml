@@ -53,46 +53,47 @@ type t = {
   c_gc_groups : Rx_obs.Metrics.counter;
   c_gc_absorbed : Rx_obs.Metrics.counter;
   c_gc_syncs : Rx_obs.Metrics.counter;
+  c_frames_read : Rx_obs.Metrics.counter;
 }
 
-let counters metrics =
-  Rx_obs.Metrics.
-    ( counter metrics "wal.records",
-      counter metrics "wal.bytes_appended",
-      counter metrics "wal.forced_syncs",
-      counter metrics "wal.torn_tail_bytes",
-      counter metrics "wal.group_commit.groups",
-      counter metrics "wal.group_commit.absorbed",
-      counter metrics "wal.group_commit.fsyncs" )
+(* A log over [backend] whose [contents], all durable, start at LSN
+   [base]. Pre-existing bytes count as appended, mirroring
+   [appended_bytes]. *)
+let make metrics backend contents ~base ~records ~torn_tail =
+  let c = Rx_obs.Metrics.counter metrics in
+  let n = Buffer.length contents in
+  let t =
+    {
+      backend;
+      contents;
+      base;
+      durable = n;
+      written = n;
+      appended = n;
+      records;
+      torn_tail;
+      buffer_limit = default_buffer_limit;
+      commit_window_us = 0;
+      flushing = false;
+      lock = Mutex.create ();
+      flushed = Condition.create ();
+      fault = None;
+      c_records = c "wal.records";
+      c_bytes = c "wal.bytes_appended";
+      c_syncs = c "wal.forced_syncs";
+      c_torn = c "wal.torn_tail_bytes";
+      c_gc_groups = c "wal.group_commit.groups";
+      c_gc_absorbed = c "wal.group_commit.absorbed";
+      c_gc_syncs = c "wal.group_commit.fsyncs";
+      c_frames_read = c "wal.frames_read";
+    }
+  in
+  Rx_obs.Metrics.add t.c_bytes n;
+  Rx_obs.Metrics.add t.c_torn torn_tail;
+  t
 
 let create_in_memory ?(metrics = Rx_obs.Metrics.default) () =
-  let c_records, c_bytes, c_syncs, c_torn, c_gc_groups, c_gc_absorbed, c_gc_syncs
-      =
-    counters metrics
-  in
-  {
-    backend = Memory;
-    contents = Buffer.create 4096;
-    base = 0L;
-    durable = 0;
-    written = 0;
-    appended = 0;
-    records = 0;
-    torn_tail = 0;
-    buffer_limit = default_buffer_limit;
-    commit_window_us = 0;
-    flushing = false;
-    lock = Mutex.create ();
-    flushed = Condition.create ();
-    fault = None;
-    c_records;
-    c_bytes;
-    c_syncs;
-    c_torn;
-    c_gc_groups;
-    c_gc_absorbed;
-    c_gc_syncs;
-  }
+  make metrics Memory (Buffer.create 4096) ~base:0L ~records:0 ~torn_tail:0
 
 let crc_of_payload s = Int32.to_int (Rx_util.Crc32.of_string s) land 0xFFFFFFFF
 
@@ -127,10 +128,6 @@ let write_header fd base =
   w 0
 
 let open_file ?(metrics = Rx_obs.Metrics.default) path =
-  let c_records, c_bytes, c_syncs, c_torn, c_gc_groups, c_gc_absorbed, c_gc_syncs
-      =
-    counters metrics
-  in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   let contents = Buffer.create (max 4096 size) in
@@ -160,39 +157,13 @@ let open_file ?(metrics = Rx_obs.Metrics.default) path =
     let valid, nrec = valid_prefix body in
     records := nrec;
     torn_tail := String.length body - valid;
-    if !torn_tail > 0 then begin
-      (* torn tail: a crash interrupted the last append(s); the valid
-         prefix is the whole log *)
-      Unix.ftruncate fd (header_size + valid);
-      Rx_obs.Metrics.add c_torn !torn_tail
-    end;
+    (* a torn tail: a crash interrupted the last append(s); the valid
+       prefix is the whole log *)
+    if !torn_tail > 0 then Unix.ftruncate fd (header_size + valid);
     Buffer.add_string contents (String.sub body 0 valid)
   end;
-  (* pre-existing bytes count as appended, mirroring [appended_bytes] *)
-  Rx_obs.Metrics.add c_bytes (Buffer.length contents);
-  {
-    backend = File fd;
-    contents;
-    base = !base;
-    durable = Buffer.length contents;
-    written = Buffer.length contents;
-    appended = Buffer.length contents;
-    records = !records;
-    torn_tail = !torn_tail;
-    buffer_limit = default_buffer_limit;
-    commit_window_us = 0;
-    flushing = false;
-    lock = Mutex.create ();
-    flushed = Condition.create ();
-    fault = None;
-    c_records;
-    c_bytes;
-    c_syncs;
-    c_torn;
-    c_gc_groups;
-    c_gc_absorbed;
-    c_gc_syncs;
-  }
+  make metrics (File fd) contents ~base:!base ~records:!records
+    ~torn_tail:!torn_tail
 
 let set_fault t fault = t.fault <- fault
 
@@ -382,6 +353,12 @@ let group_commit t ?(wait = true) lsn =
       loop ();
       if not !led then Rx_obs.Metrics.incr t.c_gc_absorbed)
 
+(* CRC-check and decode one frame's payload; any defect is corruption at
+   [lsn] *)
+let decode_payload ~lsn ~crc payload =
+  if crc_of_payload payload <> crc then raise (Corrupt_record { lsn });
+  try Log_record.decode payload with _ -> raise (Corrupt_record { lsn })
+
 let iter t ?(from = 0L) f =
   let s = Buffer.contents t.contents in
   let len = String.length s in
@@ -392,15 +369,13 @@ let iter t ?(from = 0L) f =
       let crc = Rx_util.Bytes_io.Reader.u32 r in
       if pos + frame_overhead + rec_len <= len then begin
         let lsn = Int64.add t.base (Int64.of_int pos) in
-        let payload = String.sub s (pos + frame_overhead) rec_len in
-        if crc_of_payload payload <> crc then
-          (* cannot happen for frames loaded by [open_file] (the torn tail
-             was cut there), but protects in-process readers *)
-          raise (Corrupt_record { lsn });
+        (* a bad CRC cannot happen for frames loaded by [open_file] (the
+           torn tail was cut there), but the check protects in-process
+           readers *)
         let record =
-          try Log_record.decode payload
-          with _ -> raise (Corrupt_record { lsn })
+          decode_payload ~lsn ~crc (String.sub s (pos + frame_overhead) rec_len)
         in
+        Rx_obs.Metrics.incr t.c_frames_read;
         f lsn record;
         loop (pos + frame_overhead + rec_len)
       end
@@ -427,15 +402,30 @@ let decode_frames ~base s =
       let crc = Rx_util.Bytes_io.Reader.u32 r in
       if rec_len < 0 || pos + frame_overhead + rec_len > len then
         raise (Corrupt_record { lsn });
-      let payload = String.sub s (pos + frame_overhead) rec_len in
-      if crc_of_payload payload <> crc then raise (Corrupt_record { lsn });
       let record =
-        try Log_record.decode payload with _ -> raise (Corrupt_record { lsn })
+        decode_payload ~lsn ~crc (String.sub s (pos + frame_overhead) rec_len)
       in
       loop (pos + frame_overhead + rec_len) ((lsn, record) :: acc)
     end
   in
   loop 0 []
+
+(* One frame, located by its LSN: a transaction's undo reads exactly its
+   own records this way instead of decoding the whole log. Under [lock],
+   so it may run while another thread's group-commit leader is
+   flushing. *)
+let read_at t lsn =
+  Mutex.protect t.lock (fun () ->
+      let pos = Int64.to_int (Int64.sub lsn t.base) in
+      let avail = Buffer.length t.contents - pos - frame_overhead in
+      if pos < 0 || avail < 0 then
+        invalid_arg (Printf.sprintf "Log_manager.read_at: LSN %Ld not in the log" lsn);
+      let r = Rx_util.Bytes_io.Reader.of_string (Buffer.sub t.contents pos frame_overhead) in
+      let rec_len = Rx_util.Bytes_io.Reader.u32 r in
+      let crc = Rx_util.Bytes_io.Reader.u32 r in
+      if rec_len > avail then raise (Corrupt_record { lsn });
+      Rx_obs.Metrics.incr t.c_frames_read;
+      decode_payload ~lsn ~crc (Buffer.sub t.contents (pos + frame_overhead) rec_len))
 
 let records_rev t =
   let acc = ref [] in

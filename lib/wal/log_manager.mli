@@ -38,9 +38,10 @@ val create_in_memory : ?metrics:Rx_obs.Metrics.t -> unit -> t
 val open_file : ?metrics:Rx_obs.Metrics.t -> string -> t
 (** Opens (creating if absent) a file-backed log, truncating any torn
     tail. [metrics] receives the [wal.records] / [wal.bytes_appended] /
-    [wal.forced_syncs] / [wal.torn_tail_bytes] and
+    [wal.forced_syncs] / [wal.torn_tail_bytes] / [wal.frames_read] and
     [wal.group_commit.{groups,absorbed,fsyncs}] counters (default: the
-    global registry).
+    global registry). [wal.frames_read] counts frames decoded from the
+    live log by {!iter}, {!records_rev} and {!read_at}.
     @raise Failure on a bad magic. *)
 
 val append : t -> Log_record.t -> int64
@@ -121,6 +122,13 @@ val iter : t -> ?from:int64 -> (int64 -> Log_record.t -> unit) -> unit
 (** Iterates durable-and-buffered records in order.
     @raise Corrupt_record on a frame that fails its CRC or does not
     decode. *)
+
+val read_at : t -> int64 -> Log_record.t
+(** The record whose frame starts at [lsn] (an {!append} result not yet
+    truncated away), decoded alone. Thread-safe. Undo uses it to read a
+    transaction's own records without decoding the rest of the log.
+    @raise Invalid_argument if [lsn] is outside the current log.
+    @raise Corrupt_record if the frame fails its CRC or does not decode. *)
 
 val records_rev : t -> (int64 * Log_record.t) list
 (** All records, newest first (for the undo pass). *)

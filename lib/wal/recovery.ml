@@ -111,6 +111,15 @@ let checkpoint ?archive log pool =
   | None -> ());
   Log_manager.truncate log
 
-let rollback log pool ~txid =
-  let records = Log_manager.records_rev log in
-  undo_updates log pool ~txid records
+(* Online rollback reads the transaction's own frames by LSN: its cost
+   follows the transaction's size, not the log's. Records a manual
+   checkpoint truncated away are past undoing: their before-images are
+   gone with the log. *)
+let rollback log pool ~txid ~lsns =
+  let base = Log_manager.base_lsn log in
+  undo_updates log pool ~txid
+    (List.filter_map
+       (fun lsn ->
+         if Int64.compare lsn base < 0 then None
+         else Some (lsn, Log_manager.read_at log lsn))
+       lsns)

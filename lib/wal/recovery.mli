@@ -37,7 +37,11 @@ val apply_image :
     Bypasses the journal ([Buffer_pool.modify_unlogged]): the change is
     already logged. *)
 
-val rollback : Log_manager.t -> Rx_storage.Buffer_pool.t -> txid:int -> int
-(** Online rollback of one live transaction: applies before-images of its
-    updates newest-first, writing CLRs; returns the number of updates
-    undone. The caller appends the [Abort] record. *)
+val rollback :
+  Log_manager.t -> Rx_storage.Buffer_pool.t -> txid:int -> lsns:int64 list -> int
+(** Online rollback of one live transaction: applies the before-images of
+    its [Update] records at [lsns] (newest first, as the transaction
+    appended them), writing CLRs; returns the number of updates undone.
+    Only those frames are decoded ({!Log_manager.read_at}), so the cost
+    does not grow with the log; LSNs a checkpoint truncated away are
+    skipped. The caller appends the [Abort] record. *)

@@ -210,13 +210,28 @@ let test_rollback_no_trace () =
   check Alcotest.bool "value index still drives the plan" true
     r.Database.plan.Database.uses_index
 
-(* with_txn: commits on normal return, rolls back and re-raises on
-   exception; safe to call from many threads at once *)
-let test_with_txn () =
+(* A multi-threaded host's transaction: begin and stage under
+   [exclusively], then [commit]. Plain threads need no other locking, and
+   a failed body rolled back inside the critical section leaves no
+   trace. *)
+let locked_txn db f =
+  let txn, v =
+    Database.exclusively db (fun () ->
+        let txn = Database.begin_txn db in
+        match f txn with
+        | v -> (txn, v)
+        | exception e ->
+            Database.rollback db txn;
+            raise e)
+  in
+  Database.commit db txn;
+  v
+
+let test_locked_txn () =
   let db = make_db () in
   let before = (Database.stats db).Database.documents in
   let d =
-    Database.with_txn db (fun txn ->
+    locked_txn db (fun txn ->
         Database.insert ~txn db ~table:"products"
           ~xml:[ ("doc", product ~name:"combinator" ~price:123.) ]
           ())
@@ -228,7 +243,7 @@ let test_with_txn () =
        (Database.document db ~table:"products" ~column:"doc" ~docid:d));
   (* exception inside the body rolls everything back and re-raises *)
   (match
-     Database.with_txn db (fun txn ->
+     locked_txn db (fun txn ->
          ignore
            (Database.insert ~txn db ~table:"products"
               ~xml:[ ("doc", product ~name:"doomed" ~price:1.) ]
@@ -239,8 +254,8 @@ let test_with_txn () =
   | exception Failure msg -> check Alcotest.string "exception re-raised" "boom" msg);
   check Alcotest.int "failed body left no trace" (before + 1)
     (Database.stats db).Database.documents;
-  (* concurrent with_txn callers: the combinator serializes the bodies
-     internally, so plain threads need no external locking *)
+  (* concurrent callers: the engine lock serializes the bodies and every
+     commit, so plain threads need no external locking *)
   let workers = 8 and per = 5 in
   let errors = Atomic.make 0 in
   let threads =
@@ -250,7 +265,7 @@ let test_with_txn () =
             try
               for i = 1 to per do
                 ignore
-                  (Database.with_txn db (fun txn ->
+                  (locked_txn db (fun txn ->
                        Database.insert ~txn db ~table:"products"
                          ~xml:
                            [
@@ -270,23 +285,27 @@ let test_with_txn () =
     (before + 1 + (workers * per))
     (Database.stats db).Database.documents
 
-(* exclusively + commit_async: phase-1 apply under the engine lock,
-   durability await outside it — the building block the network server
-   uses to overlap fsyncs across sessions *)
-let test_commit_async () =
+(* exclusively_async: the apply under the engine lock, the durability
+   wait handed back to run outside it — the building block the network
+   server uses to overlap fsyncs across sessions. [commit] nests inside
+   the critical section without deadlocking. *)
+let test_exclusively_async () =
   let db = make_db ~with_index:false ~n:1 () in
-  let await =
-    Database.exclusively db (fun () ->
+  let (), wait =
+    Database.exclusively_async db (fun () ->
         let txn = Database.begin_txn db in
         ignore
           (Database.insert ~txn db ~table:"products"
              ~xml:[ ("doc", product ~name:"async" ~price:5.) ]
              ());
-        Database.commit_async db txn)
+        Database.commit db txn)
   in
-  await ();
+  wait ();
   check Alcotest.int "applied and durable" 2
-    (Database.stats db).Database.documents
+    (Database.stats db).Database.documents;
+  (* nested [exclusively] runs inline on the holding thread *)
+  check Alcotest.int "reentrant" 7
+    (Database.exclusively db (fun () -> Database.exclusively db (fun () -> 7)))
 
 (* first-updater-wins: a document updated by a transaction that committed
    after this transaction began cannot be written again by it *)
@@ -364,9 +383,12 @@ let test_txn_counters () =
   (try Database.delete ~txn:b db ~table:"products" ~docid:1
    with Rx_txn.Lock_manager.Deadlock _ -> ());
   Database.delete ~txn:a db ~table:"products" ~docid:2;
+  (* txn.commit counts every transaction, the set-up's autocommit inserts
+     included: A's commit is one more *)
+  let commits = value "txn.commit" in
   Database.commit db a;
   check Alcotest.bool "txn.begin counted" true (value "txn.begin" >= 2);
-  check Alcotest.int "txn.commit counted" 1 (value "txn.commit");
+  check Alcotest.int "txn.commit counted" (commits + 1) (value "txn.commit");
   check Alcotest.bool "txn.abort counted (victim)" true (value "txn.abort" >= 1);
   check Alcotest.bool "lock.wait counted" true (value "lock.wait" >= 2);
   check Alcotest.bool "lock.deadlock counted" true (value "lock.deadlock" >= 1)
@@ -456,6 +478,131 @@ let test_mid_txn_crash_recovery () =
         (Database.fetch_row db2 ~table:"t" ~docid:d3 = None);
       Database.close db2)
 
+(* --- one commit path: durability at the engine lock's exit --- *)
+
+let counter db name =
+  Rx_obs.Metrics.value (Rx_obs.Metrics.counter (Database.metrics db) name)
+
+(* an autocommit statement inside [exclusively_async] appends its Commit
+   record under the lock, but nothing is forced until the returned wait
+   runs; [commit] nested in [exclusively] completes (no self-deadlock) *)
+let test_durability_at_lock_exit () =
+  with_temp_dir (fun dir ->
+      let db = Database.open_dir dir in
+      let _ =
+        Database.create_table db ~name:"t" ~columns:[ ("doc", Value.T_xml) ]
+      in
+      ignore (Database.insert db ~table:"t" ~xml:[ ("doc", "<a><b>0</b></a>") ] ());
+      let durable0 = Database.durable_lsn db in
+      let syncs0 = counter db "wal.forced_syncs" in
+      let docid, wait =
+        Database.exclusively_async db (fun () ->
+            Database.insert db ~table:"t" ~xml:[ ("doc", "<a><b>1</b></a>") ] ())
+      in
+      check Alcotest.bool "commit not yet durable" true
+        (Int64.equal durable0 (Database.durable_lsn db));
+      check Alcotest.int "no fsync under the lock" syncs0
+        (counter db "wal.forced_syncs");
+      wait ();
+      check Alcotest.bool "durable after the wait" true
+        (Int64.compare (Database.durable_lsn db) durable0 > 0);
+      check Alcotest.int "one fsync" (syncs0 + 1) (counter db "wal.forced_syncs");
+      check Alcotest.string "applied" "<a><b>1</b></a>"
+        (Database.document db ~table:"t" ~column:"doc" ~docid);
+      (* an explicit commit nested in [exclusively] *)
+      Database.exclusively db (fun () ->
+          let txn = Database.begin_txn db in
+          ignore
+            (Database.insert ~txn db ~table:"t" ~xml:[ ("doc", "<a><b>2</b></a>") ] ());
+          Database.commit db txn);
+      check Alcotest.int "nested commit applied" 3 (Database.row_count db ~table:"t");
+      check Alcotest.bool "nested commit durable" true
+        (Int64.equal (Database.durable_lsn db)
+           (Database.repl_state db).Database.r_durable_lsn);
+      Database.close db)
+
+(* a transaction that writes nothing appends no Commit or Abort record and
+   forces nothing *)
+let test_read_only_logs_nothing () =
+  with_temp_dir (fun dir ->
+      let db = Database.open_dir dir in
+      let _ =
+        Database.create_table db ~name:"t" ~columns:[ ("doc", Value.T_xml) ]
+      in
+      let d = Database.insert db ~table:"t" ~xml:[ ("doc", "<a><b>1</b></a>") ] () in
+      let records0 = counter db "wal.records" in
+      let syncs0 = counter db "wal.forced_syncs" in
+      let read txn =
+        ignore (Database.run ~txn db ~table:"t" ~column:"doc" ~xpath:"/a/b");
+        ignore (Database.document ~txn db ~table:"t" ~column:"doc" ~docid:d)
+      in
+      let a = Database.begin_txn db in
+      read a;
+      Database.commit db a;
+      let b = Database.begin_txn db in
+      read b;
+      Database.rollback db b;
+      check Alcotest.int "no WAL record" records0 (counter db "wal.records");
+      check Alcotest.int "no fsync" syncs0 (counter db "wal.forced_syncs");
+      Database.close db)
+
+(* Failed autocommit statements leave no trace, however long the log.
+   With an explicit transaction holding off every checkpoint, thousands
+   of records pile up; a delete of a missing DocID, an insert whose second
+   document is malformed and an insert with a mistyped row value are each
+   refused before anything is written, so they log nothing and decode no
+   frame. (A statement that fails after writing pages is undone from its
+   own frames only; test_txn's "abort cost flat in log size" measures
+   that.) *)
+let test_failed_statements_leave_no_trace () =
+  let db = Database.create_in_memory () in
+  let _ =
+    Database.create_table db ~name:"t"
+      ~columns:[ ("n", Value.T_int); ("a", Value.T_xml); ("b", Value.T_xml) ]
+  in
+  let snapshot () =
+    let docs =
+      List.concat_map
+        (fun column ->
+          (Database.run db ~table:"t" ~column ~xpath:"/*").Database.matches
+          |> List.map (fun m ->
+                 Database.document db ~table:"t" ~column ~docid:m.Database.docid))
+        [ "a"; "b" ]
+    in
+    (docs, Database.row_count db ~table:"t", Database.stats db)
+  in
+  let doc i = Printf.sprintf "<r><k>%d</k><v>%s</v></r>" i (String.make 40 'v') in
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "the statement should fail"
+    | exception (Invalid_argument _ | Rx_xml.Parser.Parse_error _) -> ()
+  in
+  let failed_statements () =
+    let before = snapshot () in
+    let frames0 = counter db "wal.frames_read" in
+    let records0 = counter db "wal.records" in
+    refused (fun () -> Database.delete db ~table:"t" ~docid:999_999);
+    refused (fun () ->
+        Database.insert db ~table:"t" ~xml:[ ("a", doc 0); ("b", "<broken>") ] ());
+    refused (fun () ->
+        Database.insert db ~table:"t"
+          ~values:[ ("n", Value.Varchar "not a number") ]
+          ~xml:[ ("a", doc 0) ]
+          ());
+    check Alcotest.int "nothing logged" records0 (counter db "wal.records");
+    check Alcotest.int "no frame decoded" frames0 (counter db "wal.frames_read");
+    check Alcotest.bool "store unchanged" true (snapshot () = before)
+  in
+  let reader = Database.begin_txn db in
+  failed_statements ();
+  for i = 1 to 300 do
+    ignore (Database.insert db ~table:"t" ~xml:[ ("a", doc i); ("b", doc i) ] ())
+  done;
+  check Alcotest.bool "thousands of records in the log" true
+    ((Database.verify db).Database.wal_records > 3000);
+  failed_statements ();
+  Database.rollback db reader
+
 let () =
   Alcotest.run "database_txn"
     [
@@ -477,10 +624,17 @@ let () =
         ] );
       ( "combinators",
         [
-          Alcotest.test_case "with_txn commit / rollback / concurrency" `Quick
-            test_with_txn;
-          Alcotest.test_case "exclusively + commit_async" `Quick
-            test_commit_async;
+          Alcotest.test_case "exclusively + commit threads" `Quick
+            test_locked_txn;
+          Alcotest.test_case "exclusively_async deferral" `Quick
+            test_exclusively_async;
+        ] );
+      ( "commit_path",
+        [
+          Alcotest.test_case "durability at the lock's exit" `Quick
+            test_durability_at_lock_exit;
+          Alcotest.test_case "read-only txns log nothing" `Quick
+            test_read_only_logs_nothing;
         ] );
       ( "locking",
         [
@@ -494,5 +648,7 @@ let () =
             test_mid_txn_crash_recovery;
           Alcotest.test_case "explicit commits auto-checkpoint" `Quick
             test_commit_auto_checkpoint;
+          Alcotest.test_case "failed statements leave no trace" `Quick
+            test_failed_statements_leave_no_trace;
         ] );
     ]

@@ -309,7 +309,7 @@ let test_session_query_dml () =
   check Alcotest.int "matches over 25" 3 (List.length r.Rx_client.matches);
   if not (contains ~needle:"price" r.Rx_client.plan) then
     Alcotest.failf "expected the price index in the plan, got %s" r.Rx_client.plan;
-  (* auto-commit insert through the server's with_txn wrapper *)
+  (* autocommit insert: applied in place, as the embedded call would *)
   let docid =
     Rx_client.insert c ~table:"products"
       ~values:[ ("sku", "S900") ]
@@ -851,6 +851,66 @@ let test_cursor_abandonment () =
     Alcotest.failf "abandoned cursor not freed (cursors=%d conns=%d)"
       (gauge "net.cursors") (gauge "net.conns")
 
+(* --- one autocommit path --- *)
+
+let counter db name =
+  Rx_obs.Metrics.value (Rx_obs.Metrics.counter (Database.metrics db) name)
+
+let pages db = Rx_storage.Pager.page_count (Rx_storage.Buffer_pool.pager (Database.buffer_pool db))
+
+(* an autocommit insert and delete over the wire log exactly what the
+   embedded calls log on a twin database: no throwaway transaction, no
+   staged copy, no MVCC staging store *)
+let test_wire_autocommit_twin () =
+  let twin = make_db () in
+  Fun.protect ~finally:(fun () -> Database.close twin) @@ fun () ->
+  with_server @@ fun db srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
+  check Alcotest.int "twins start equal" (pages twin) (pages db);
+  let doc = product ~name:"twin" ~price:77. in
+  let w0 = counter db "wal.records" and e0 = counter twin "wal.records" in
+  let wire_id = Rx_client.insert c ~table:"products" ~xml:[ ("doc", doc) ] () in
+  let emb_id = Database.insert twin ~table:"products" ~xml:[ ("doc", doc) ] () in
+  check Alcotest.int "same docid" emb_id wire_id;
+  check Alcotest.int "insert: same WAL records"
+    (counter twin "wal.records" - e0)
+    (counter db "wal.records" - w0);
+  let w1 = counter db "wal.records" and e1 = counter twin "wal.records" in
+  Rx_client.delete c ~table:"products" ~docid:wire_id;
+  Database.delete twin ~table:"products" ~docid:emb_id;
+  check Alcotest.int "delete: same WAL records"
+    (counter twin "wal.records" - e1)
+    (counter db "wal.records" - w1);
+  check Alcotest.int "no staging store allocated" (pages twin) (pages db);
+  check Alcotest.int "same rows" (Database.row_count twin ~table:"products")
+    (Database.row_count db ~table:"products")
+
+(* a failed wire autocommit reports status 1 and leaves nothing behind *)
+let test_wire_autocommit_failure () =
+  with_server @@ fun db srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
+  let rows = Database.row_count db ~table:"products" in
+  let before = Database.verify db in
+  (match Rx_client.delete c ~table:"products" ~docid:9999 with
+  | () -> Alcotest.fail "deleting a missing DocID should fail"
+  | exception Rx_client.Error { status; _ } ->
+      check Alcotest.int "status 1" 1 status);
+  check Alcotest.int "row count unchanged" rows
+    (Database.row_count db ~table:"products");
+  let after = Database.verify db in
+  check Alcotest.int "pages checked unchanged" before.Database.pages_checked
+    after.Database.pages_checked;
+  check (Alcotest.list Alcotest.int) "no corrupt page" [] after.Database.corrupt_pages;
+  check Alcotest.int "nothing logged" before.Database.wal_records
+    after.Database.wal_records;
+  (* the session is still usable *)
+  check Alcotest.int "session still serves" rows
+    (List.length
+       (Rx_client.query c ~table:"products" ~column:"doc" ~xpath:"/Product")
+         .Rx_client.matches)
+
 (* --- idle-session timeout --- *)
 
 let test_idle_timeout () =
@@ -897,6 +957,10 @@ let () =
         ] );
       ( "session",
         [
+          Alcotest.test_case "autocommit logs like embedded" `Quick
+            test_wire_autocommit_twin;
+          Alcotest.test_case "failed autocommit delete" `Quick
+            test_wire_autocommit_failure;
           Alcotest.test_case "query, DML, prepared, bulk, stats" `Quick
             test_session_query_dml;
           Alcotest.test_case "explicit transactions and disconnect rollback"

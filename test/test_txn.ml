@@ -232,6 +232,90 @@ let test_txn_rollback_storage () =
   check Alcotest.string "committed row intact" "keep" (Rx_storage.Heap_file.read heap rid1);
   check Alcotest.int "aborted insert undone" 1 (Rx_storage.Heap_file.record_count heap)
 
+(* Undo reads only the aborting transaction's own frames. A transaction
+   kept open stands for a live session that holds off any checkpoint;
+   after thousands of committed records, an abort that wrote pages decodes
+   exactly as many frames as it did against a short log, and restores
+   every page byte. The doomed inserts overflow onto fresh heap pages, so
+   the rows committed afterwards must still land on the restored chain. *)
+let test_abort_flat_in_log_size () =
+  let metrics = Rx_obs.Metrics.create () in
+  let pool =
+    Rx_storage.Buffer_pool.create ~metrics ~capacity:512
+      (Rx_storage.Pager.create_in_memory ~page_size:512 ())
+  in
+  let log = Rx_wal.Log_manager.create_in_memory ~metrics () in
+  let mgr = Transaction.create_manager ~log ~pool () in
+  Transaction.install_journal mgr;
+  let counter name = Rx_obs.Metrics.value (Rx_obs.Metrics.counter metrics name) in
+  let run_txn f =
+    let t = Transaction.begin_txn mgr in
+    let v = Transaction.run_as t f in
+    (t, v)
+  in
+  let heap_txn, heap = run_txn (fun () -> Rx_storage.Heap_file.create pool) in
+  ignore (Transaction.commit heap_txn);
+  (* every page's type and content; the LSN and checksum header fields
+     are left out *)
+  let pages () =
+    let n = Rx_storage.Pager.page_count (Rx_storage.Buffer_pool.pager pool) in
+    let h = Rx_storage.Page.header_size in
+    (* page 0 is the pager's own *)
+    List.init (n - 1) (fun i ->
+        Rx_storage.Buffer_pool.with_page pool (i + 1) (fun page ->
+            ( Rx_storage.Page.get_kind page,
+              Bytes.sub_string page h (Bytes.length page - h) )))
+  in
+  let open_session, () = run_txn ignore in
+  let doomed_abort () =
+    let before = pages () in
+    let frames0 = counter "wal.frames_read" in
+    let t, () =
+      run_txn (fun () ->
+          for i = 1 to 100 do
+            ignore (Rx_storage.Heap_file.insert heap (Printf.sprintf "doomed-%03d" i))
+          done)
+    in
+    ignore (Transaction.abort t);
+    (* pages the aborted inserts allocated stay allocated (the pager has
+       no free list); every page that existed before is restored *)
+    check Alcotest.bool "pages restored" true
+      (List.filteri (fun i _ -> i < List.length before) (pages ()) = before);
+    counter "wal.frames_read" - frames0
+  in
+  let short_log = doomed_abort () in
+  check Alcotest.bool "the abort undid updates" true (short_log > 0);
+  for i = 1 to 3000 do
+    let t, _ =
+      run_txn (fun () -> Rx_storage.Heap_file.insert heap (Printf.sprintf "kept-%04d" i))
+    in
+    ignore (Transaction.commit t)
+  done;
+  let log_records = Rx_wal.Log_manager.record_count log in
+  check Alcotest.bool "thousands of records" true (log_records > 3000);
+  let long_log = doomed_abort () in
+  check Alcotest.int "frames decoded independent of log length" short_log long_log;
+  check Alcotest.int "committed rows intact" 3000
+    (Rx_storage.Heap_file.record_count heap);
+  let n = ref 0 in
+  Rx_storage.Heap_file.iter (fun _ _ -> incr n) heap;
+  check Alcotest.int "committed rows reachable" 3000 !n;
+  ignore (Transaction.commit open_session)
+
+(* a transaction that logged no update writes no Commit or Abort record *)
+let test_read_only_txn_logs_nothing () =
+  let pool =
+    Rx_storage.Buffer_pool.create ~capacity:16
+      (Rx_storage.Pager.create_in_memory ~page_size:512 ())
+  in
+  let log = Rx_wal.Log_manager.create_in_memory () in
+  let mgr = Transaction.create_manager ~log ~pool () in
+  Transaction.install_journal mgr;
+  ignore (Transaction.commit (Transaction.begin_txn mgr));
+  ignore (Transaction.abort (Transaction.begin_txn mgr));
+  ignore (Transaction.abort ~undo:ignore (Transaction.begin_txn mgr));
+  check Alcotest.int "empty log" 0 (Rx_wal.Log_manager.record_count log)
+
 (* --- MVCC --- *)
 
 let dict = Rx_xml.Name_dict.create ()
@@ -418,6 +502,10 @@ let () =
       ( "transactions",
         [
           Alcotest.test_case "intention locks" `Quick test_txn_intention_locks;
+          Alcotest.test_case "abort cost flat in log size" `Quick
+            test_abort_flat_in_log_size;
+          Alcotest.test_case "read-only txns log nothing" `Quick
+            test_read_only_txn_logs_nothing;
           Alcotest.test_case "rollback storage" `Quick test_txn_rollback_storage;
           Alcotest.test_case "deadlock cycle (two txns)" `Quick
             test_txn_deadlock_cycle;

@@ -106,6 +106,11 @@ let test_recovery_idempotent () =
 
 let test_online_rollback () =
   let db = make_db () in
+  (* remember tx 2's Update LSNs, newest first, as a transaction does *)
+  let lsns = ref [] in
+  Journal.install db.pool db.log
+    ~current_txid:(fun () -> db.txid)
+    ~on_update:(fun lsn -> if db.txid = 2 then lsns := lsn :: !lsns);
   db.txid <- 1;
   let heap = Heap_file.create db.pool in
   let _ = Heap_file.insert heap "committed" in
@@ -113,7 +118,7 @@ let test_online_rollback () =
   db.txid <- 2;
   let _ = Heap_file.insert heap "doomed-1" in
   let _ = Heap_file.insert heap "doomed-2" in
-  let undone = Recovery.rollback db.log db.pool ~txid:2 in
+  let undone = Recovery.rollback db.log db.pool ~txid:2 ~lsns:!lsns in
   ignore (Log_manager.append db.log (Log_record.Abort { txid = 2 }));
   check Alcotest.bool "updates undone" true (undone > 0);
   let heap2 = Heap_file.attach db.pool ~header_page:(Heap_file.header_page heap) in

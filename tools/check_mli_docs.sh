@@ -1,9 +1,10 @@
 #!/bin/sh
 # Lint: every exported value in the storage, B+tree, WAL, transaction,
-# core-facade, network and XML-index interfaces must carry a documentation
-# comment.  These are the layers whose contracts (durability, concurrency,
-# isolation, failure behaviour, the public API surface) live in the .mli
-# docs, so an undocumented export is a CI failure.
+# core-facade, network, XML-index and observability interfaces must carry
+# a documentation comment.  These are the layers whose contracts
+# (durability, concurrency, isolation, failure behaviour, the public API
+# surface, the instruments operators read) live in the .mli docs, so an
+# undocumented export is a CI failure.
 #
 # A `val` (or `exception`) is considered documented when either
 #   - the nearest preceding non-blank line closes a comment (ends with `*)`), or
@@ -12,11 +13,11 @@
 #
 # Usage: tools/check_mli_docs.sh [dir ...]
 #        (defaults to lib/storage lib/btree lib/wal lib/txn lib/core lib/net
-#        lib/xindex)
+#        lib/xindex lib/obs)
 set -eu
 cd "$(dirname "$0")/.."
 
-dirs="${*:-lib/storage lib/btree lib/wal lib/txn lib/core lib/net lib/xindex}"
+dirs="${*:-lib/storage lib/btree lib/wal lib/txn lib/core lib/net lib/xindex lib/obs}"
 status=0
 
 for dir in $dirs; do
